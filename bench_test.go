@@ -267,61 +267,6 @@ func BenchmarkExecutionEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalSAT measures cross-round solver persistence: the
-// same staged sequence of growing monotone formulas (shaped like a
-// synthesis run's per-round φ over an overlapping predicate vocabulary)
-// enumerated by one persistent sat.Incremental versus a fresh solver per
-// round. The minimal-model sets are bit-identical (see the differential
-// tests); the persistent solver keeps its learnt clauses, VSIDS
-// activity, and saved phases between rounds.
-func BenchmarkIncrementalSAT(b *testing.B) {
-	const (
-		nvars  = 28
-		rounds = 6
-	)
-	// Pre-generate the round clause sets once, outside the timer.
-	perRound := make([][][]sat.Lit, rounds)
-	rng := rand.New(rand.NewSource(17))
-	for r := range perRound {
-		n := 20 + 10*r // φ grows round over round
-		clauses := make([][]sat.Lit, n)
-		for i := range clauses {
-			w := 2 + rng.Intn(5)
-			c := make([]sat.Lit, w)
-			for j := range c {
-				c[j] = sat.Lit(1 + rng.Intn(nvars))
-			}
-			clauses[i] = c
-		}
-		perRound[r] = clauses
-	}
-	budget := sat.Budget{MaxModels: 512}
-	b.Run("persistent", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			inc := sat.NewIncremental()
-			inc.EnsureVars(nvars)
-			for r, clauses := range perRound {
-				if r > 0 {
-					inc.BeginRound()
-				}
-				for _, c := range clauses {
-					inc.AddClause(c)
-				}
-				inc.MinimalModels(budget, nil)
-			}
-		}
-	})
-	b.Run("fresh-per-round", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, clauses := range perRound {
-				sat.MinimalModelsBudget(nvars, clauses, budget)
-			}
-		}
-	})
-}
-
 // BenchmarkSpecAutomaton measures the compiled-spec sequentialization
 // search on realistic Chase-Lev histories: the automaton path (interned
 // states, table-lookup transitions, integer memo keys) versus the legacy

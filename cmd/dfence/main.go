@@ -12,7 +12,7 @@
 //
 // Flags:
 //
-//	-model   memory model: sc, tso, pso (default pso)
+//	-model   memory model: sc, tso, pso, rmo (default pso)
 //	-spec    criterion: safety, sc, lin (default sc)
 //	-seq     sequential spec for sc/lin: deque, wsq-lifo, wsq-fifo, queue, set, alloc
 //	-execs   executions per round, K (default 1000)
@@ -133,7 +133,7 @@ func main() {
 		}
 	}
 	var (
-		modelF   = flag.String("model", "pso", "memory model: sc, tso, pso")
+		modelF   = flag.String("model", "pso", "memory model: sc, tso, pso, rmo")
 		specF    = flag.String("spec", "sc", "criterion: safety, sc, lin")
 		seqF     = flag.String("seq", "deque", "sequential specification: deque, wsq-lifo, wsq-fifo, queue, set, alloc")
 		execs    = flag.Int("execs", 1000, "executions per round (K)")

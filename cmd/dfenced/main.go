@@ -142,9 +142,9 @@ func runSubmit(argv []string) int {
 	var (
 		addr      = fs.String("addr", "127.0.0.1:8753", "dfenced address")
 		builtin   = fs.String("builtin", "", "built-in benchmark name instead of a source file")
-		model     = fs.String("model", "", "memory model (tso, pso)")
-		criterion = fs.String("criterion", "", "robustness criterion (safety, seq)")
-		seqSpec   = fs.String("seq-spec", "", "sequential spec for -criterion seq")
+		model     = fs.String("model", "", "memory model (sc, tso, pso, rmo)")
+		criterion = fs.String("criterion", "", "robustness criterion (safety, sc, lin)")
+		seqSpec   = fs.String("seq-spec", "", "sequential spec for -criterion sc or lin")
 		seed      = fs.Int64("seed", 0, "base random seed")
 		execs     = fs.Int("execs", 0, "executions per round")
 		rounds    = fs.Int("rounds", 0, "max synthesis rounds")

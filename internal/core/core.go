@@ -155,14 +155,6 @@ type Config struct {
 	// are bit-identical with the flag on or off — the knob exists for
 	// measurement and as the determinism-test control.
 	NoExecCache bool
-	// FreshSolver disables the cross-round persistent SAT solver: each
-	// round's φ is solved on a brand-new Formula (and therefore a fresh
-	// CDCL solver), as earlier versions did. The minimal-model set of a
-	// monotone formula is unique and the solution order is a total sort,
-	// so results are bit-identical with the flag on or off — the knob
-	// exists for measurement and as the incremental-vs-fresh
-	// differential-test control.
-	FreshSolver bool
 	// Metrics, when non-nil, receives the run's hot-path instrumentation:
 	// execution/verdict/cache counters per worker shard, solver effort,
 	// fence lifecycle, and the step/wall-time histograms. Nil (the default)
@@ -656,17 +648,9 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		})
 	}
 
-	// The repair formula is long-lived: each round resets φ to true via
-	// BeginRound while the owned SAT solver keeps its learnt clauses,
-	// activity, and predicate vocabulary warm across rounds. FreshSolver
-	// rebuilds the Formula per round instead (the differential control).
 	formula := synth.NewFormula()
 	for round := startRound; round < cfg.MaxRounds; round++ {
-		if cfg.FreshSolver {
-			formula = synth.NewFormula() // φ := true on a fresh solver
-		} else {
-			formula.BeginRound() // φ := true, solver state retained
-		}
+		formula.BeginRound() // φ := true
 		stats := Round{}
 		var delaySet map[staticanalysis.Pair]bool
 		if cfg.StaticPrune {

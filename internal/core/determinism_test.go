@@ -98,18 +98,27 @@ func resultKey(res *Result) string {
 // TestSynthesizeCacheAndWorkerDeterminism: full synthesis (with fence
 // validation) is bit-identical between the serial cache-free configuration
 // and the parallel cache-enabled one, for representative benchmarks under
-// both models.
+// all four models.
 func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 	subjects := []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
+	models := []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO, memmodel.RMO}
 	for _, name := range subjects {
 		b, err := progs.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, model := range []memmodel.Model{memmodel.TSO, memmodel.PSO} {
+		for _, model := range models {
 			crit := spec.SeqConsistency
 			if b.SkipSeqCheck {
 				crit = spec.MemorySafety
+			}
+			// FlushProb is set explicitly (the model-recommended values)
+			// because a zero flush probability under RMO produces the
+			// pathological crawling schedules ExecTimeout exists for — see
+			// the Config docs.
+			fp := 0.5
+			if model == memmodel.TSO {
+				fp = 0.1
 			}
 			base := Config{
 				Model:            model,
@@ -119,8 +128,19 @@ func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 				RelaxStealAborts: b.RelaxStealAborts,
 				ExecsPerRound:    150,
 				MaxRounds:        5,
+				FlushProb:        fp,
 				Seed:             7,
 				ValidateFences:   true,
+				// Deterministic budget on scheduler-loop iterations. The RMO
+				// portfolio's load-starving phases can crawl on ms2-queue —
+				// deferral-loop spins make no machine steps, so
+				// MaxStepsPerExec never trips, and ExecTimeout is
+				// wall-clock-dependent, which a bit-identity test cannot
+				// tolerate. The budget cuts the spinners identically in
+				// every configuration (over-budget runs are judged
+				// inconclusive) while staying far above what any healthy
+				// execution in this corpus uses.
+				MaxItersPerExec: 200_000,
 			}
 			var keys []string
 			for _, mode := range []struct {
@@ -142,79 +162,6 @@ func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 			for i := 1; i < len(keys); i++ {
 				if keys[i] != keys[0] {
 					t.Fatalf("%s/%v: configuration %d diverged\nbase: %s\ngot:  %s", name, model, i, keys[0], keys[i])
-				}
-			}
-		}
-	}
-}
-
-// TestIncrementalSolverMatchesFresh: the persistent cross-round SAT
-// solver is a pure performance mechanism — full synthesis must be
-// bit-identical between the persistent path (default) and the
-// fresh-solver-per-round path (FreshSolver), for representative corpus
-// subjects under all four memory models and at multiple worker counts.
-func TestIncrementalSolverMatchesFresh(t *testing.T) {
-	subjects := []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
-	models := []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO, memmodel.RMO}
-	for _, name := range subjects {
-		b, err := progs.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, model := range models {
-			crit := spec.SeqConsistency
-			if b.SkipSeqCheck {
-				crit = spec.MemorySafety
-			}
-			// Reduced budgets and no validation pass: the solver
-			// differential lives in the per-round repair loop, and
-			// validation would triple the runtime without exercising
-			// any additional solver path. FlushProb is set explicitly
-			// (the model-recommended values) because a zero flush
-			// probability under RMO produces the pathological crawling
-			// schedules ExecTimeout exists for — see the Config docs.
-			fp := 0.5
-			if model == memmodel.TSO {
-				fp = 0.1
-			}
-			base := Config{
-				Model:            model,
-				Criterion:        crit,
-				NewSpec:          b.NewSpec(),
-				CheckGarbage:     b.CheckGarbage,
-				RelaxStealAborts: b.RelaxStealAborts,
-				ExecsPerRound:    80,
-				MaxRounds:        3,
-				FlushProb:        fp,
-				Seed:             11,
-				// Deterministic budget on scheduler-loop iterations. The RMO
-				// portfolio's load-starving phases used to crawl on ms2-queue
-				// for minutes per synthesis — deferral-loop spins make no
-				// machine steps, so MaxStepsPerExec never trips, and
-				// ExecTimeout is wall-clock-dependent, which a bit-identity
-				// test cannot tolerate. The budget cuts the spinners
-				// identically in every configuration (over-budget runs are
-				// judged inconclusive) while staying far above what any
-				// healthy execution in this corpus uses.
-				MaxItersPerExec: 200_000,
-			}
-			var keys []string
-			for _, mode := range []struct {
-				workers int
-				fresh   bool
-			}{{1, false}, {4, false}, {4, true}} {
-				cfg := base
-				cfg.Workers = mode.workers
-				cfg.FreshSolver = mode.fresh
-				res, err := Synthesize(b.Program(), cfg)
-				if err != nil {
-					t.Fatalf("%s/%v workers=%d fresh=%v: %v", name, model, mode.workers, mode.fresh, err)
-				}
-				keys = append(keys, resultKey(res))
-			}
-			for i := 1; i < len(keys); i++ {
-				if keys[i] != keys[0] {
-					t.Fatalf("%s/%v: solver mode %d diverged\nbase: %s\ngot:  %s", name, model, i, keys[0], keys[i])
 				}
 			}
 		}

@@ -175,48 +175,65 @@ func TestSynthesizeInterruptStopsAtCheckpoint(t *testing.T) {
 // exactly — the round-by-round version of the crash-restart guarantee
 // (the corpus-wide, real-bytes variant lives in internal/faultinject).
 func TestSynthesizeResumeEveryCheckpoint(t *testing.T) {
-	b, err := progs.ByName("cilk-the")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func() Config {
-		return Config{
-			Model:          memmodel.PSO,
-			Criterion:      spec.SeqConsistency,
-			NewSpec:        b.NewSpec(),
-			ExecsPerRound:  150,
-			MaxRounds:      5,
-			Seed:           7,
-			Workers:        4,
-			ValidateFences: true,
-		}
-	}
-	sink := &collectSink{}
-	cfg := mk()
-	cfg.Sink = sink
-	base, err := Synthesize(b.Program(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseKey := resultKey(base)
-	cuts := checkpointCuts(sink.events)
-	if len(cuts) == 0 {
-		t.Skip("baseline emitted no checkpoints (single-round run); nothing to resume")
-	}
-	for i, cut := range cuts {
-		rs, err := ResumeFromEvents(cut)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i+1, err)
-		}
-		rcfg := mk()
-		rcfg.Resume = rs
-		resumed, err := Synthesize(b.Program(), rcfg)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i+1, err)
-		}
-		if got := resultKey(resumed); got != baseKey {
-			t.Fatalf("resume from checkpoint %d (round %d) diverged\nbase:    %s\nresumed: %s",
-				i+1, rs.Round, baseKey, got)
-		}
+	for _, tc := range []struct {
+		bench   string
+		model   memmodel.Model
+		execs   int
+		rounds  int
+		seed    int64
+		workers int
+	}{
+		{"cilk-the", memmodel.PSO, 150, 5, 7, 4},
+		// The solver's MaxModels cap truncates this cell's enumeration,
+		// so its repairs are only reproducible if each round's answer
+		// depends on nothing but that round's clauses.
+		{"michael-alloc", memmodel.PSO, 200, 10, 1, 2},
+	} {
+		t.Run(tc.bench, func(t *testing.T) {
+			b, err := progs.ByName(tc.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mk := func() Config {
+				return Config{
+					Model:          tc.model,
+					Criterion:      spec.SeqConsistency,
+					NewSpec:        b.NewSpec(),
+					ExecsPerRound:  tc.execs,
+					MaxRounds:      tc.rounds,
+					Seed:           tc.seed,
+					Workers:        tc.workers,
+					ValidateFences: true,
+				}
+			}
+			sink := &collectSink{}
+			cfg := mk()
+			cfg.Sink = sink
+			base, err := Synthesize(b.Program(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseKey := resultKey(base)
+			cuts := checkpointCuts(sink.events)
+			if len(cuts) == 0 {
+				t.Fatal("baseline emitted no checkpoints (single-round run); nothing to resume")
+			}
+			for i, cut := range cuts {
+				rs, err := ResumeFromEvents(cut)
+				if err != nil {
+					t.Fatalf("checkpoint %d: %v", i+1, err)
+				}
+				rcfg := mk()
+				rcfg.Resume = rs
+				resumed, err := Synthesize(b.Program(), rcfg)
+				if err != nil {
+					t.Fatalf("checkpoint %d: %v", i+1, err)
+				}
+				if got := resultKey(resumed); got != baseKey {
+					t.Fatalf("resume from checkpoint %d (round %d) diverged\nbase:    %s\nresumed: %s",
+						i+1, rs.Round, baseKey, got)
+				}
+			}
+		})
 	}
 }

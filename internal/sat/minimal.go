@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"fmt"
+	"sort"
 	"time"
 )
 
@@ -21,9 +23,9 @@ type Budget struct {
 
 func (b Budget) unlimited() bool { return b.MaxModels <= 0 && b.Timeout <= 0 }
 
-// Stats reports one enumeration's solver effort, for telemetry. All
-// counters are per-enumeration deltas, even when the enumeration ran on a
-// persistent Incremental solver.
+// Stats reports one enumeration's solver effort, for telemetry. Every
+// enumeration runs on its own solver, so the counters are that
+// enumeration's alone.
 type Stats struct {
 	// Models is the number of distinct minimal models found.
 	Models int
@@ -78,49 +80,108 @@ func MinimalModelsBudget(nvars int, clauses [][]Lit, budget Budget) (models [][]
 
 // MinimalModelsStats is MinimalModelsBudget additionally reporting the
 // enumeration's solver effort into st (ignored when nil). The models
-// returned are identical to MinimalModelsBudget's. It runs a one-round
-// Incremental enumeration on a throwaway solver; long-lived callers whose
-// formula grows round over round should hold an Incremental instead and
-// reap the learnt-clause and activity carry-over.
+// returned are identical to MinimalModelsBudget's.
 func MinimalModelsStats(nvars int, clauses [][]Lit, budget Budget, st *Stats) (models [][]int, truncated bool) {
-	inc := NewIncremental()
-	inc.EnsureVars(nvars)
+	s := NewSolver()
+	for s.NumVars() < nvars {
+		s.NewVar()
+	}
 	for _, c := range clauses {
-		inc.AddClause(c)
+		for _, l := range c {
+			if l <= 0 {
+				panic(fmt.Errorf("sat: literal %d in a monotone clause", l))
+			}
+		}
+		if err := s.AddClause(c...); err != nil {
+			panic(err)
+		}
 	}
-	return inc.MinimalModels(budget, st)
+	var deadline time.Time
+	if budget.Timeout > 0 {
+		deadline = time.Now().Add(budget.Timeout)
+	}
+	cur := make([]bool, nvars+1)
+	seen := modelSet{buckets: make(map[uint64][]int32), offs: []int32{0}}
+	var (
+		min   []int
+		block []Lit
+		out   [][]int
+	)
+	for s.search() == nil {
+		// Shrink the model greedily to an irredundant one, dropping
+		// variables in descending order (deterministic).
+		for v := 1; v <= nvars; v++ {
+			cur[v] = s.Value(v)
+		}
+		for v := nvars; v >= 1; v-- {
+			if !cur[v] {
+				continue
+			}
+			cur[v] = false
+			if !coversPositive(clauses, cur) {
+				cur[v] = true
+			}
+		}
+		min = min[:0]
+		for v := 1; v <= nvars; v++ {
+			if cur[v] {
+				min = append(min, v)
+			}
+		}
+		if seen.insert(min) {
+			out = append(out, append([]int(nil), min...))
+		}
+		if len(min) == 0 {
+			break // empty model satisfies everything: stop
+		}
+		if !budget.unlimited() {
+			if (budget.MaxModels > 0 && len(out) >= budget.MaxModels) ||
+				(!deadline.IsZero() && time.Now().After(deadline)) {
+				truncated = true
+				break
+			}
+		}
+		// Block this minimal model and all its supersets.
+		block = block[:0]
+		for _, v := range min {
+			block = append(block, Lit(-v))
+		}
+		if err := s.AddClause(block...); err != nil {
+			panic(err)
+		}
+	}
+	if st != nil {
+		*st = Stats{
+			Models:       len(out),
+			Conflicts:    s.Conflicts(),
+			Decisions:    s.Decisions(),
+			Propagations: s.Propagations(),
+			Restarts:     s.Restarts(),
+			Clauses:      len(clauses),
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+	return out, truncated
 }
 
-// shrink reduces a model of a monotone formula to an irredundant one.
-func shrink(nvars int, clauses [][]Lit, model map[int]bool) []int {
-	cur := make(map[int]bool, nvars)
-	for v, b := range model {
-		cur[v] = b
-	}
-	// Try dropping variables in descending order (deterministic).
-	for v := nvars; v >= 1; v-- {
-		if !cur[v] {
-			continue
-		}
-		cur[v] = false
-		if !satisfiesPositive(clauses, cur) {
-			cur[v] = true
-		}
-	}
-	var min []int
-	for v := 1; v <= nvars; v++ {
-		if cur[v] {
-			min = append(min, v)
-		}
-	}
-	return min
-}
-
-func satisfiesPositive(clauses [][]Lit, model map[int]bool) bool {
+// coversPositive reports whether the true-set in cur satisfies every
+// positive clause.
+func coversPositive(clauses [][]Lit, cur []bool) bool {
 	for _, c := range clauses {
 		ok := false
 		for _, l := range c {
-			if l > 0 && model[int(l)] {
+			if cur[int(l)] {
 				ok = true
 				break
 			}
@@ -132,16 +193,48 @@ func satisfiesPositive(clauses [][]Lit, model map[int]bool) bool {
 	return true
 }
 
-func fmtKey(vs []int) string {
-	b := make([]byte, 0, len(vs)*3)
-	for _, v := range vs {
-		for v > 0 {
-			b = append(b, byte('0'+v%10))
-			v /= 10
-		}
-		b = append(b, ',')
+// modelSet deduplicates variable-set models with integer keys: models are
+// stored in a flat arena and probed by FNV-1a hash with exact collision
+// checks.
+type modelSet struct {
+	buckets map[uint64][]int32
+	arena   []int32
+	offs    []int32 // model i is arena[offs[i]:offs[i+1]]
+}
+
+// insert adds the model if absent; reports whether it was new.
+func (ms *modelSet) insert(model []int) bool {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, v := range model {
+		h ^= uint64(uint32(v))
+		h *= prime64
 	}
-	return string(b)
+	for _, idx := range ms.buckets[h] {
+		got := ms.arena[ms.offs[idx]:ms.offs[idx+1]]
+		if len(got) != len(model) {
+			continue
+		}
+		eq := true
+		for i, v := range got {
+			if int(v) != model[i] {
+				eq = false
+				break
+			}
+		}
+		if eq {
+			return false
+		}
+	}
+	ms.buckets[h] = append(ms.buckets[h], int32(len(ms.offs)-1))
+	for _, v := range model {
+		ms.arena = append(ms.arena, int32(v))
+	}
+	ms.offs = append(ms.offs, int32(len(ms.arena)))
+	return true
 }
 
 // MinimumModels filters MinimalModels down to those of smallest

@@ -84,3 +84,19 @@ func TestMinimalModelsBudgetGenerousCapNotTruncated(t *testing.T) {
 		t.Fatalf("got %d models, want 8", len(got))
 	}
 }
+
+func satisfiesPositive(clauses [][]Lit, model map[int]bool) bool {
+	for _, c := range clauses {
+		ok := false
+		for _, l := range c {
+			if l > 0 && model[int(l)] {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}

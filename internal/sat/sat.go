@@ -68,7 +68,7 @@ type Solver struct {
 func (s *Solver) Conflicts() int64 { return s.totalConflicts }
 
 // Decisions reports the number of branching decisions made across all
-// Solve calls (assumption postings excluded).
+// Solve calls.
 func (s *Solver) Decisions() int64 { return s.totalDecisions }
 
 // Propagations reports the number of literals unit-propagated across all
@@ -79,9 +79,8 @@ func (s *Solver) Propagations() int64 { return s.totalPropagations }
 func (s *Solver) Restarts() int64 { return s.totalRestarts }
 
 type clause struct {
-	lits    []Lit
-	learnt  bool
-	deleted bool
+	lits   []Lit
+	learnt bool
 }
 
 // NewSolver returns an empty solver.
@@ -222,7 +221,7 @@ func (s *Solver) propagate() *clause {
 		var conflict *clause
 		for i := 0; i < len(ws); i++ {
 			c := ws[i]
-			if conflict != nil || c.deleted {
+			if conflict != nil {
 				kept = append(kept, c)
 				continue
 			}
@@ -361,66 +360,8 @@ var ErrUnsat = errors.New("sat: unsatisfiable")
 // Solve searches for a satisfying assignment. On success it returns the
 // model as a map from variable to boolean. The solver may be reused: add
 // more clauses and call Solve again (the paper's enumeration loop).
-// Simplify removes every clause satisfied at decision level 0 from the
-// clause database and the watchlists. A clause with a literal fixed true
-// at the root can never propagate or conflict again, so removal is
-// behavior-neutral — the search visits the same assignments in the same
-// order, it just stops wading through dead clauses. The round-incremental
-// enumeration calls this when a round guard is fixed false, which
-// retires the round's problem, blocking, and learnt clauses wholesale;
-// without the sweep every retired blocking clause stays in two
-// watchlists forever and each later round pays to skip it.
-func (s *Solver) Simplify() {
-	if s.unsat {
-		return
-	}
-	s.backtrackTo(0)
-	if s.propagate() != nil {
-		s.unsat = true
-		return
-	}
-	all := s.clauses
-	kept := all[:0]
-	for _, c := range all {
-		if c.deleted {
-			continue
-		}
-		sat0 := false
-		for _, l := range c.lits {
-			if s.valueLit(l) == vtrue && s.level[l.Var()] == 0 {
-				sat0 = true
-				break
-			}
-		}
-		if sat0 {
-			c.deleted = true
-			continue
-		}
-		kept = append(kept, c)
-	}
-	if len(kept) == len(all) {
-		return // nothing died: leave the watchlists alone
-	}
-	for i := len(kept); i < len(all); i++ {
-		all[i] = nil
-	}
-	s.clauses = kept
-	for l, ws := range s.watches {
-		k := ws[:0]
-		for _, c := range ws {
-			if !c.deleted {
-				k = append(k, c)
-			}
-		}
-		for i := len(k); i < len(ws); i++ {
-			ws[i] = nil
-		}
-		s.watches[l] = k
-	}
-}
-
 func (s *Solver) Solve() (map[int]bool, error) {
-	if err := s.SolveUnderAssumptions(nil); err != nil {
+	if err := s.search(); err != nil {
 		return nil, err
 	}
 	model := make(map[int]bool, s.numVars)
@@ -431,9 +372,8 @@ func (s *Solver) Solve() (map[int]bool, error) {
 }
 
 // Value reports the value of variable v in the assignment found by the
-// last successful SolveUnderAssumptions/Solve call. It is the
-// allocation-free model accessor the enumeration hot path uses instead of
-// Solve's map.
+// last successful search. It is the allocation-free model accessor the
+// enumeration hot path uses instead of Solve's map.
 func (s *Solver) Value(v int) bool { return s.assign[v] == vtrue }
 
 // restartBase is the conflict count of the first geometric restart;
@@ -442,18 +382,9 @@ func (s *Solver) Value(v int) bool { return s.assign[v] == vtrue }
 // exist, only the order the search visits them.
 const restartBase = 100
 
-// SolveUnderAssumptions searches for a satisfying assignment under the
-// given assumption literals (MiniSAT-style incremental interface). The
-// assumptions are posted as pseudo-decisions ahead of the search; learnt
-// clauses derived under them carry the corresponding guard literals and
-// therefore remain sound for later calls with different assumptions — the
-// mechanism the round-incremental enumeration builds on.
-//
-// On success the assignment is available through Value (no allocation).
-// ErrUnsat means unsatisfiable *under these assumptions*; the solver
-// remains usable, and only a conflict at decision level zero marks the
-// formula itself permanently unsatisfiable.
-func (s *Solver) SolveUnderAssumptions(assumps []Lit) error {
+// search runs CDCL to a full satisfying assignment, readable through
+// Value without allocation, or returns ErrUnsat.
+func (s *Solver) search() error {
 	if s.unsat {
 		return ErrUnsat
 	}
@@ -469,13 +400,6 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) error {
 		if confl != nil {
 			if s.decisionLevel() == 0 {
 				s.unsat = true
-				return ErrUnsat
-			}
-			if s.decisionLevel() <= len(assumps) {
-				// Conflict entirely under the assumptions: unsatisfiable for
-				// this call only. The formula without the assumptions may
-				// still be satisfiable, so the solver is not poisoned.
-				s.backtrackTo(0)
 				return ErrUnsat
 			}
 			s.totalConflicts++
@@ -498,19 +422,6 @@ func (s *Solver) SolveUnderAssumptions(assumps []Lit) error {
 				restartLimit += restartLimit / 2
 				s.totalRestarts++
 				s.backtrackTo(0)
-			}
-			continue
-		}
-		if lvl := s.decisionLevel(); lvl < len(assumps) {
-			// Post the next assumption as its own decision level.
-			a := assumps[lvl]
-			switch s.valueLit(a) {
-			case vfalse:
-				s.backtrackTo(0)
-				return ErrUnsat
-			default:
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.enqueue(a, nil)
 			}
 			continue
 		}

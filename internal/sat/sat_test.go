@@ -380,3 +380,15 @@ func TestLitHelpers(t *testing.T) {
 		t.Error("Neg wrong")
 	}
 }
+
+func fmtKey(vs []int) string {
+	b := make([]byte, 0, len(vs)*3)
+	for _, v := range vs {
+		for v > 0 {
+			b = append(b, byte('0'+v%10))
+			v /= 10
+		}
+		b = append(b, ',')
+	}
+	return string(b)
+}

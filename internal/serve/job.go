@@ -242,8 +242,10 @@ type Job struct {
 	// Attempts counts runs that ended in a transient failure. A graceful
 	// drain or crash does not increment it — interrupted work is not a
 	// failure.
-	Attempts int    `json:"attempts,omitempty"`
-	Error    string `json:"error,omitempty"`
+	Attempts int `json:"attempts,omitempty"`
+	// Error says why a failed job failed; on a done job it reports a
+	// result memo that could not be saved (the result itself stands).
+	Error string `json:"error,omitempty"`
 	// MemoKey is the result-identity fingerprint (set once the spec has
 	// been built successfully). FromMemo marks a job answered from the
 	// memo store without running.

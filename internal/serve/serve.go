@@ -477,9 +477,16 @@ func (s *Server) runJob(id string) {
 		// attempt charged — the next process life resumes the journal.
 		s.setState(j, func(j *Job) { j.State = StateQueued })
 	default:
+		// Persist the memo before publishing done: a client that sees done
+		// and resubmits at once must find it. A failed memo write loses
+		// only the cache entry, not the result, so the job still completes
+		// and carries the error.
 		digest := resultDigest(res)
-		s.setState(j, func(j *Job) { j.State = StateDone; j.Result = digest; j.Error = "" })
-		_ = s.sp.saveMemo(j.MemoKey, digest)
+		memoErr := ""
+		if merr := s.sp.saveMemo(j.MemoKey, digest); merr != nil {
+			memoErr = fmt.Sprintf("result memo not saved: %v", merr)
+		}
+		s.setState(j, func(j *Job) { j.State = StateDone; j.Result = digest; j.Error = memoErr })
 	}
 }
 

@@ -110,20 +110,16 @@ func (c *Collector) Disjunction() []Predicate {
 // Identical clauses are deduplicated, as in the paper ("each non-repeated
 // clause in the formula is assigned a unique integer").
 //
-// A Formula owns a persistent incremental SAT solver (sat.Incremental):
-// BeginRound clears the clause set for the next synthesis round while the
-// solver retains its learnt clauses, VSIDS activity, and saved phases,
-// together with the predicate-to-variable vocabulary — so a long-lived
-// Formula reused across rounds solves each round's φ without rebuilding
-// CDCL state from scratch. A throwaway Formula behaves exactly like the
-// pre-incremental implementation (one round, fresh solver).
+// A Formula holds one synthesis round's φ. Each round's minimal
+// solutions are enumerated on a fresh SAT solver (sat.MinimalModelsStats),
+// so a round's answer depends only on that round's clauses.
 type Formula struct {
-	vars   map[Predicate]int // predicate -> SAT variable (persists across rounds)
-	byVar  []Predicate       // 1-based: variable -> predicate
-	inc    *sat.Incremental  // owned persistent solver; holds the round's clauses
-	seen   map[string]struct{}
-	keyBuf []byte            // scratch for the clause-fingerprint probe
-	freq   map[Predicate]int // #violating executions mentioning the predicate (per round)
+	vars    map[Predicate]int // predicate -> SAT variable
+	byVar   []Predicate       // 1-based: variable -> predicate
+	clauses [][]sat.Lit
+	seen    map[string]struct{}
+	keyBuf  []byte            // scratch for the clause-fingerprint probe
+	freq    map[Predicate]int // #violating executions mentioning the predicate
 }
 
 // NewFormula returns φ = true.
@@ -131,26 +127,20 @@ func NewFormula() *Formula {
 	return &Formula{
 		vars:  make(map[Predicate]int),
 		byVar: make([]Predicate, 1), // index 0 unused
-		inc:   sat.NewIncremental(),
 		seen:  make(map[string]struct{}),
 		freq:  make(map[Predicate]int),
 	}
 }
 
-// BeginRound resets φ to true for the next synthesis round while keeping
-// the solver and the predicate vocabulary warm: learnt clauses and
-// branching heuristics carry over (the previous round's clauses are
-// deactivated inside the solver, so they cannot influence which models
-// exist), and per-round bookkeeping — clause dedup and predicate
-// support — starts fresh.
-func (f *Formula) BeginRound() {
-	f.inc.BeginRound()
-	clear(f.seen)
-	clear(f.freq)
-}
+// BeginRound resets φ to true for the next synthesis round, exactly as
+// NewFormula does: clauses, clause dedup, predicate support, and the
+// predicate-to-variable numbering all start fresh, so nothing of an
+// earlier round can reach this round's (possibly budget-truncated)
+// enumeration.
+func (f *Formula) BeginRound() { *f = *NewFormula() }
 
 // Empty reports whether no clause has been added (φ = true).
-func (f *Formula) Empty() bool { return f.inc.NumClauses() == 0 }
+func (f *Formula) Empty() bool { return len(f.clauses) == 0 }
 
 // NumPredicates returns the number of distinct predicates mentioned this
 // round (duplicated disjunctions mention no predicate a kept clause does
@@ -158,7 +148,7 @@ func (f *Formula) Empty() bool { return f.inc.NumClauses() == 0 }
 func (f *Formula) NumPredicates() int { return len(f.freq) }
 
 // NumClauses returns the number of distinct accumulated clauses.
-func (f *Formula) NumClauses() int { return f.inc.NumClauses() }
+func (f *Formula) NumClauses() int { return len(f.clauses) }
 
 // AddExecution conjoins the disjunction d (the repairs of one violating
 // execution) onto φ. d must be non-empty.
@@ -196,8 +186,7 @@ func (f *Formula) AddExecution(d []Predicate) error {
 		}
 		clause[i] = sat.Lit(v)
 	}
-	f.inc.EnsureVars(len(f.byVar) - 1)
-	f.inc.AddClause(clause)
+	f.clauses = append(f.clauses, clause)
 	return nil
 }
 
@@ -227,7 +216,7 @@ func (f *Formula) MinimalSolutionsStats(budget sat.Budget, st *sat.Stats) (solut
 	if f.Empty() {
 		return nil, false
 	}
-	models, truncated := f.inc.MinimalModels(budget, st)
+	models, truncated := sat.MinimalModelsStats(len(f.byVar)-1, f.clauses, budget, st)
 	out := make([][]Predicate, len(models))
 	for i, m := range models {
 		ps := make([]Predicate, len(m))

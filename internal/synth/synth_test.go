@@ -1,11 +1,13 @@
 package synth
 
 import (
+	"fmt"
 	"testing"
 
 	"dfence/internal/interp"
 	"dfence/internal/ir"
 	"dfence/internal/memmodel"
+	"dfence/internal/sat"
 )
 
 func TestCollectorPSOAllAccessKinds(t *testing.T) {
@@ -71,6 +73,47 @@ func TestFormulaMinimalSolutions(t *testing.T) {
 	}
 	if len(sols[1]) != 2 || sols[1][0] != p12 || sols[1][1] != p56 {
 		t.Errorf("second solution = %v, want [%v %v]", sols[1], p12, p56)
+	}
+}
+
+// TestFormulaBeginRoundIsFresh: a Formula reused across rounds answers
+// exactly like a new one, even when the enumeration budget truncates —
+// nothing of an earlier round (clauses, support, variable numbering)
+// reaches the next round's solve.
+func TestFormulaBeginRoundIsFresh(t *testing.T) {
+	var round2 [][]Predicate
+	for i := 0; i < 6; i++ {
+		l := ir.Label(10 * (i + 1))
+		round2 = append(round2, []Predicate{{l, l + 1}, {l + 2, l + 3}})
+	}
+	reused := NewFormula()
+	for i := len(round2) - 1; i >= 0; i-- { // round 1 numbers the predicates in reverse
+		d := round2[i]
+		if err := reused.AddExecution([]Predicate{d[1], {d[1].L, 99}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reused.BeginRound()
+	if !reused.Empty() || reused.NumPredicates() != 0 {
+		t.Fatalf("BeginRound left %d clauses over %d predicates", reused.NumClauses(), reused.NumPredicates())
+	}
+	fresh := NewFormula()
+	for _, d := range round2 {
+		if err := reused.AddExecution(d); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.AddExecution(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	budget := sat.Budget{MaxModels: 5} // 64 minimal models: truncated
+	got, gotTrunc := reused.MinimalSolutionsBudget(budget)
+	want, wantTrunc := fresh.MinimalSolutionsBudget(budget)
+	if !gotTrunc || !wantTrunc {
+		t.Fatalf("budget did not truncate (reused %v, fresh %v)", gotTrunc, wantTrunc)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("reused formula diverged from a fresh one\nreused: %v\nfresh:  %v", got, want)
 	}
 }
 
