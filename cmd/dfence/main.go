@@ -87,8 +87,12 @@
 //	-deadline        wall-clock budget for the whole synthesis (0 = none);
 //	                 on expiry the partial rounds are reported as aborted
 //	-min-conclusive  floor on the conclusive fraction of a violation-free
-//	                 round for it to count as convergence
+//	                 round, in every scheduler-portfolio phase, for it to
+//	                 count as convergence
 //	                 (0 = default 0.5, negative = disabled)
+//	-max-iters       deterministic scheduler-iteration budget per execution
+//	                 (0 = default, 4x the step budget); runs that exceed it
+//	                 count as inconclusive
 //	-max-models      cap on minimal-model enumeration per round
 //	                 (0 = default 4096, negative = unlimited)
 package main
@@ -142,7 +146,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		execTO   = flag.Duration("exec-timeout", 0, "wall-clock budget per execution (0 = none)")
 		deadline = flag.Duration("deadline", 0, "wall-clock budget for the whole synthesis (0 = none)")
-		minConc  = flag.Float64("min-conclusive", 0, "conclusive fraction a violation-free round needs to converge (0 = default 0.5, negative = disabled)")
+		minConc  = flag.Float64("min-conclusive", 0, "conclusive fraction a violation-free round needs, in every scheduler-portfolio phase, to converge (0 = default 0.5, negative = disabled)")
 		maxMod   = flag.Int("max-models", 0, "cap on minimal-model enumeration per round (0 = default 4096, negative = unlimited)")
 		jobs     = flag.Int("j", 0, "parallel workers for the execution engine (0 = NumCPU); results are identical for any value")
 		validate = flag.Bool("validate", true, "prune redundant fences after convergence")
@@ -159,7 +163,7 @@ func main() {
 		listenF  = flag.String("listen", "", "serve /metrics, /runz, and /debug/pprof on this address (e.g. :6060)")
 		metOut   = flag.String("metrics-out", "", "write an OpenMetrics snapshot to this file at exit")
 		traceF   = flag.String("trace", "", "write the run's span trace (Perfetto-loadable JSON) to this file at exit")
-		maxIters = flag.Int("max-iters", 0, "deterministic scheduler-iteration budget per execution (0 = none); over-budget runs count as inconclusive")
+		maxIters = flag.Int("max-iters", 0, "deterministic scheduler-iteration budget per execution (0 = default, 4x the step budget); over-budget runs count as inconclusive")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap (allocs) profile to this file on exit")
 	)
@@ -377,7 +381,7 @@ func main() {
 			CAS:           *withCAS,
 			MinConclusive: *minConc,
 			MaxModels:     *maxMod,
-			MaxIters:      *maxIters,
+			MaxIters:      core.EffectiveMaxIters(*maxIters, cfg.MaxStepsPerExec),
 		})
 	}
 

@@ -57,7 +57,8 @@ type Config struct {
 	// end of the §6.5 Figure 5 sweep), which the zero-means-default
 	// convention could not express.
 	FlushProb float64
-	// MaxStepsPerExec bounds each execution. Default 100000.
+	// MaxStepsPerExec bounds each execution's machine steps. Default
+	// 100000.
 	MaxStepsPerExec int
 	// Seed makes the whole synthesis deterministic. Executions use seeds
 	// Seed + round*ExecsPerRound + i.
@@ -100,12 +101,14 @@ type Config struct {
 	// cannot bound in time. Wall-clock cuts are machine-dependent, so
 	// leave it zero when bit-identical results across runs matter.
 	ExecTimeout time.Duration
-	// MaxItersPerExec bounds each execution's scheduler-loop iterations
-	// (0 = none) — the deterministic analogue of ExecTimeout. The
-	// load-starving portfolio phases can spin in deferral loops that make
-	// no machine steps, so MaxStepsPerExec never trips; this budget counts
-	// every loop iteration and cuts such executions identically on every
-	// machine (they are judged Inconclusive, like a step-limit hit).
+	// MaxItersPerExec bounds each execution's scheduler-loop iterations —
+	// the deterministic analogue of ExecTimeout. 0 selects
+	// itersPerStep*MaxStepsPerExec, so every configuration has a finite
+	// budget (see EffectiveMaxIters). MaxStepsPerExec counts machine steps
+	// only, while the scheduler also iterates on deferrals that take none
+	// (see sched.Options.MaxIters); this budget counts every loop iteration
+	// and cuts such executions identically on every machine (they are
+	// judged Inconclusive, like a step-limit hit).
 	MaxItersPerExec int
 	// RoundTimeout bounds each round's execution batch (0 = none).
 	// Executions still in flight when it expires stop and count
@@ -121,7 +124,10 @@ type Config struct {
 	// budget that must be conclusive (not step-limited, timed out,
 	// errored, or skipped) for a violation-free round to count as
 	// convergence — the guard against vacuous convergence, where a round
-	// "sees no violations" only because nearly every run was cut off.
+	// "sees no violations" only because nearly every run was cut off. The
+	// floor applies to each scheduler-portfolio phase's share of the
+	// budget (executions i with the same i mod the portfolio length), so
+	// one phase that never concludes cannot hide behind the others.
 	// 0 selects the default 0.5; negative disables the floor.
 	MinConclusive float64
 	// MaxModels caps the solver's minimal-model enumeration per round
@@ -217,8 +223,9 @@ func (c *Config) fill() {
 		}
 	}
 	if c.MaxStepsPerExec <= 0 {
-		c.MaxStepsPerExec = 100000
+		c.MaxStepsPerExec = defaultMaxSteps
 	}
+	c.MaxItersPerExec = EffectiveMaxIters(c.MaxItersPerExec, c.MaxStepsPerExec)
 	if c.ValidateExecs <= 0 {
 		c.ValidateExecs = 3 * c.ExecsPerRound
 	}
@@ -238,6 +245,32 @@ func (c *Config) fill() {
 	c.mv = c.Metrics.View()
 }
 
+// defaultMaxSteps is MaxStepsPerExec's default.
+const defaultMaxSteps = 100000
+
+// itersPerStep scales MaxStepsPerExec into the default MaxItersPerExec.
+// Executions of the benchmark corpus stay below one scheduler iteration
+// per machine step (partial-order reduction runs several steps per
+// iteration; measured at most 0.78 over 600 portfolio executions per
+// benchmark under TSO, PSO and RMO), so the factor leaves ample room for
+// deferral iterations while still bounding an execution that loops
+// without steps.
+const itersPerStep = 4
+
+// EffectiveMaxIters resolves a requested MaxItersPerExec against
+// MaxStepsPerExec the way Config's defaults do, so front ends can journal
+// the iteration budget a run actually uses. Values <= 0 select the
+// defaults.
+func EffectiveMaxIters(maxIters, maxSteps int) int {
+	if maxIters > 0 {
+		return maxIters
+	}
+	if maxSteps <= 0 {
+		maxSteps = defaultMaxSteps
+	}
+	return itersPerStep * maxSteps
+}
+
 // solverBudget translates the config's solver knobs into a sat.Budget.
 func (c *Config) solverBudget() sat.Budget {
 	return sat.Budget{MaxModels: c.MaxModels, Timeout: c.SolverTimeout}
@@ -250,8 +283,8 @@ type Outcome uint8
 const (
 	// OutcomeInconclusive: the round budget ran out without a conclusive
 	// answer — either violations persisted without an unfixable witness,
-	// or a violation-free round fell below the MinConclusive floor
-	// (vacuous convergence). Also the zero value.
+	// or a violation-free round fell below the MinConclusive floor in some
+	// portfolio phase (vacuous convergence). Also the zero value.
 	OutcomeInconclusive Outcome = iota
 	// OutcomeConverged: a sufficiently conclusive round saw no violations.
 	OutcomeConverged
@@ -335,13 +368,43 @@ func execRate(execs int, wall time.Duration) float64 {
 }
 
 // ConclusiveFraction is the share of the round's execution budget that
-// produced a verdict — the coverage number the MinConclusive floor guards.
+// produced a verdict — the round's aggregate coverage. The MinConclusive
+// floor applies to each portfolio phase's share (phaseCoverage), which
+// implies this aggregate meets it too.
 func (r *Round) ConclusiveFraction() float64 {
 	total := r.Executions + r.Skipped
 	if total == 0 {
 		return 0
 	}
 	return float64(r.Executions-r.Inconclusive) / float64(total)
+}
+
+// phaseCoverage counts, per scheduler-portfolio phase, a round's
+// execution budget (run or skipped) and the executions that produced a
+// verdict. Each phase exists to expose a class of violations the others
+// rarely reach, so a round whose aggregate coverage clears MinConclusive
+// while one phase barely concluded has not looked for that class at all.
+type phaseCoverage [maxPortfolioPhases]struct{ total, conclusive int }
+
+// add accounts execution outcome o to portfolio phase p.
+func (c *phaseCoverage) add(p int, o execOutcome) {
+	c[p].total++
+	if o.ran && !o.inconclusive { // panicked runs are inconclusive too
+		c[p].conclusive++
+	}
+}
+
+// meets reports whether every phase with a budget this round has a
+// conclusive fraction of at least floor. Skipped executions count against
+// their phase, as they do in Round.ConclusiveFraction; since every phase
+// meets the floor, so does the round's aggregate.
+func (c *phaseCoverage) meets(floor float64) bool {
+	for _, ph := range c {
+		if ph.total > 0 && float64(ph.conclusive)/float64(ph.total) < floor {
+			return false
+		}
+	}
+	return true
 }
 
 // maxExecErrors caps how many structured execution errors a Result keeps;
@@ -360,8 +423,9 @@ type Result struct {
 	// OutcomeInconclusive, or OutcomeAborted. Prefer it over the
 	// Converged/Unfixable pair, which cannot express the latter two.
 	Outcome Outcome
-	// Converged reports that the final round saw no violations and met
-	// the MinConclusive coverage floor (Outcome == OutcomeConverged).
+	// Converged reports that the final round saw no violations and every
+	// portfolio phase met the MinConclusive coverage floor (Outcome ==
+	// OutcomeConverged).
 	Converged bool
 	// Unfixable reports that synthesis did not converge and at least one
 	// violating execution had no candidate repairs — fences cannot fix the
@@ -681,7 +745,9 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		witnessEvIdx := -1
 		emittedEmpty := false
 		witnessIdx := -1
+		var cover phaseCoverage
 		for i, o := range outcomes {
+			cover.add(i%portfolioPhases(&cfg), o)
 			if !o.ran {
 				stats.Skipped++
 				continue
@@ -811,13 +877,14 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 		}
 		if stats.Violations == 0 {
 			endRound(&stats, round)
-			if stats.ConclusiveFraction() >= cfg.MinConclusive {
+			if cover.meets(cfg.MinConclusive) {
 				result.Converged = true
 				break
 			}
-			// Vacuous round: no violations, but too few executions produced
-			// a verdict for "no violations" to mean anything. Keep going
-			// with fresh seeds rather than declaring convergence.
+			// Vacuous round: no violations, but too few executions — of the
+			// round, or of one portfolio phase — produced a verdict for "no
+			// violations" to mean anything. Keep going with fresh seeds
+			// rather than declaring convergence.
 			if round+1 < cfg.MaxRounds {
 				if checkpoint(round + 1) {
 					aborted = true

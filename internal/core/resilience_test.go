@@ -6,6 +6,8 @@ import (
 
 	"dfence/internal/ir"
 	"dfence/internal/memmodel"
+	"dfence/internal/progs"
+	"dfence/internal/sched"
 	"dfence/internal/spec"
 )
 
@@ -95,8 +97,9 @@ func TestMinConclusiveDisabled(t *testing.T) {
 	}
 }
 
-// TestConfigSentinels pins the fill() defaults and the negative sentinels
-// of FlushProb, MinConclusive, and MaxModels.
+// TestConfigSentinels pins the fill() defaults (among them the finite
+// MaxItersPerExec default) and the negative sentinels of FlushProb,
+// MinConclusive, and MaxModels.
 func TestConfigSentinels(t *testing.T) {
 	cases := []struct {
 		name string
@@ -138,6 +141,21 @@ func TestConfigSentinels(t *testing.T) {
 				t.Errorf("MinConclusive = %v, want 0.8", c.MinConclusive)
 			}
 		}},
+		{"iters default", Config{}, func(t *testing.T, c Config) {
+			if c.MaxItersPerExec != itersPerStep*defaultMaxSteps {
+				t.Errorf("MaxItersPerExec = %v, want %v", c.MaxItersPerExec, itersPerStep*defaultMaxSteps)
+			}
+		}},
+		{"iters follow steps", Config{MaxStepsPerExec: 1000}, func(t *testing.T, c Config) {
+			if c.MaxItersPerExec != itersPerStep*1000 {
+				t.Errorf("MaxItersPerExec = %v, want %v", c.MaxItersPerExec, itersPerStep*1000)
+			}
+		}},
+		{"iters kept", Config{MaxItersPerExec: 77}, func(t *testing.T, c Config) {
+			if c.MaxItersPerExec != 77 {
+				t.Errorf("MaxItersPerExec = %v, want 77", c.MaxItersPerExec)
+			}
+		}},
 		{"models default", Config{}, func(t *testing.T, c Config) {
 			if c.MaxModels != 4096 {
 				t.Errorf("MaxModels = %v, want 4096", c.MaxModels)
@@ -155,5 +173,71 @@ func TestConfigSentinels(t *testing.T) {
 			c.fill()
 			tc.want(t, c)
 		})
+	}
+}
+
+// ms2QueueRMO is the two-lock queue under RMO with linearizability: a
+// cell whose starve-loads portfolio phases once livelocked (the other
+// threads spin on the lock the stalled victim holds) and that converges
+// with no fences.
+func ms2QueueRMO(t *testing.T) (*ir.Program, Config) {
+	t.Helper()
+	b, err := progs.ByName("ms2-queue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Program(), Config{
+		Model:         memmodel.RMO,
+		Criterion:     spec.Linearizability,
+		NewSpec:       b.NewSpec(),
+		ExecsPerRound: 200,
+		Seed:          1,
+		Workers:       2,
+	}
+}
+
+// TestRMOLoadVowConclusive: with a default Config — no iteration budget
+// given — every execution of ms2-queue under RMO concludes, the
+// load-starving phases included.
+func TestRMOLoadVowConclusive(t *testing.T) {
+	prog, cfg := ms2QueueRMO(t)
+	res, err := Synthesize(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != OutcomeConverged || res.TotalInconclusive != 0 {
+		t.Fatalf("outcome %v with %d inconclusive executions, want converged with 0:\n%s",
+			res.Outcome, res.TotalInconclusive, res.Summary())
+	}
+}
+
+// TestPerPhaseConclusiveFloor: cutting off one portfolio phase's
+// executions leaves the round's aggregate coverage above MinConclusive
+// (5 of 6 phases conclude), but that phase never looked for violations,
+// so the run must not converge.
+func TestPerPhaseConclusiveFloor(t *testing.T) {
+	prog, cfg := ms2QueueRMO(t)
+	cfg.MaxRounds = 2
+	cfg.OptionsHook = func(round, index int, opts sched.Options) sched.Options {
+		if opts.Portfolio == 4 {
+			opts.MaxIters = 1
+		}
+		return opts
+	}
+	res, err := Synthesize(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rd := range res.Rounds {
+		if rd.Violations != 0 || rd.ConclusiveFraction() < 0.5 {
+			t.Fatalf("round %d: %d violations, %.2f conclusive; the test needs violation-free rounds above the aggregate floor",
+				i+1, rd.Violations, rd.ConclusiveFraction())
+		}
+	}
+	if res.Converged || res.Outcome != OutcomeInconclusive {
+		t.Fatalf("a phase with no conclusive execution still converged: outcome %v\n%s", res.Outcome, res.Summary())
+	}
+	if len(res.Rounds) != cfg.MaxRounds {
+		t.Errorf("ran %d rounds, want all %d (no round may converge)", len(res.Rounds), cfg.MaxRounds)
 	}
 }

@@ -61,10 +61,14 @@ const lazyResolve = 0.05
 // versions on SC/TSO/PSO.
 func portfolioPhases(cfg *Config) int {
 	if cfg.Model.DefersLoads() {
-		return 6
+		return maxPortfolioPhases
 	}
 	return 4
 }
+
+// maxPortfolioPhases is the longest portfolio cycle (load-deferring
+// models).
+const maxPortfolioPhases = 6
 
 // portfolioPhase applies phase i%portfolioPhases to opts. The plain
 // coin (phase 0) finds the common reorderings; the priority strategy

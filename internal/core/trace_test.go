@@ -83,7 +83,7 @@ func TestTracingDisabledZeroAlloc(t *testing.T) {
 	var tr *trace.Tracer
 	allocs := testing.AllocsPerRun(200, func() {
 		sp := tr.Begin(0, trace.SpanExec, 1)
-		tr.ExecDone(1, 3, 0, 10, 8, 2, 99)
+		tr.ExecDone(1, 3, 0, 10, 8, 2, false, 99)
 		tr.Instant(1, trace.InstantCacheHit, 0, 0)
 		sp.End()
 	})

@@ -104,7 +104,10 @@ type Options struct {
 	// not all deferring threads: vowing everyone blocks every thread's
 	// progress at once and the witness's ordering dissolves into coin
 	// noise. Victim choice is seed-deterministic, and the vow is released
-	// (and re-chooseable) once the victim's deferred queue drains.
+	// (and re-chooseable) once the victim's deferred queue drains. A vow
+	// that lasts loadVowSteps machine steps without draining is released
+	// for good: no further load vow is sworn in that execution, which keeps
+	// threads spin-waiting on the stalled victim from livelocking the run.
 	// Liveness is preserved: the vow yields when no other thread can
 	// execute.
 	StarveLoads bool
@@ -115,12 +118,15 @@ type Options struct {
 	// leave it zero when bit-identical results matter.
 	Timeout time.Duration
 	// MaxIters bounds scheduler-loop iterations (0 = none). MaxSteps only
-	// counts machine steps, so a portfolio phase whose delay disciplines
-	// keep deferring — the starve-loads phases on programs where every pick
-	// lands on the vowed victim — can spin indefinitely without ever
-	// tripping it; Timeout cuts such runs but is machine-dependent. MaxIters
-	// is the deterministic budget: a run that exceeds it stops with
-	// StepLimitHit set (inconclusive), identically on every machine.
+	// counts machine steps, and an iteration that defers (a delay coin came
+	// up tails, or the load-starvation vow held its thread back) takes
+	// none. Deferrals usually interleave with other threads' steps, but
+	// under the Priority strategy repeated demotions can drive every
+	// priority to zero, after which ties re-pick the same thread; a
+	// vow-held victim then defers without end and MaxSteps never trips.
+	// Timeout cuts such runs but is machine-dependent. MaxIters is the
+	// deterministic budget: a run that exceeds it stops with StepLimitHit
+	// set (inconclusive), identically on every machine.
 	MaxIters int
 	// Portfolio tags this execution with its scheduler-portfolio phase
 	// (core.portfolioPhase's cycle index) for trace attribution. Purely
@@ -143,10 +149,10 @@ type Options struct {
 }
 
 // budgetCheckEvery is how many scheduler iterations pass between wall-clock
-// and context checks; each iteration advances at least one machine step, so
-// budget overruns are bounded by ~1024 steps. The check also runs once at
-// iteration 0, so an already-expired budget (or context) cuts even
-// executions far shorter than the check interval.
+// and context checks, so budget overruns are bounded by ~1024 iterations
+// (each a machine step, a flush or resolve, or a deferral). The check also
+// runs once at iteration 0, so an already-expired budget (or context) cuts
+// even executions far shorter than the check interval.
 const budgetCheckEvery = 1024
 
 // ExecError describes a panic recovered from one execution: the interpreter
@@ -200,9 +206,12 @@ type worker struct {
 	// Load-starvation vow (Options.StarveLoads): once ldChosen, thread
 	// ldTid is not executed past a force-resolving instruction while
 	// another thread can execute. Released when ldTid's deferred queue
-	// drains. Reset per run.
+	// drains (a new vow may then be sworn), or for good — ldSpent — once
+	// loadVowSteps machine steps have passed since ldSteps. Reset per run.
 	ldChosen bool
+	ldSpent  bool
 	ldTid    int
+	ldSteps  int
 }
 
 // Run executes prog once under the given memory model and scheduling
@@ -239,7 +248,7 @@ func (w *worker) runSafe(ctx context.Context, c *interp.Compiled, model memmodel
 	}
 	start := time.Now()
 	r := w.run(ctx, c, model, obs, opts, nil)
-	opts.Tracer.ExecDone(opts.traceLane, opts.Portfolio, time.Since(start), r.SchedIters, r.Steps, r.SchedSpins, opts.Seed)
+	opts.Tracer.ExecDone(opts.traceLane, opts.Portfolio, time.Since(start), r.SchedIters, r.Steps, r.SchedSpins, r.StepLimitHit || r.TimedOut, opts.Seed)
 	return r, nil
 }
 
@@ -255,7 +264,7 @@ func (w *worker) run(ctx context.Context, c *interp.Compiled, model memmodel.Mod
 	w.rng.Seed(opts.Seed)
 	rng := &w.rng
 	w.stChosen = false
-	w.ldChosen = false
+	w.ldChosen, w.ldSpent = false, false
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 200000
@@ -420,12 +429,14 @@ func (w *worker) run(ctx context.Context, c *interp.Compiled, model memmodel.Mod
 			}
 			continue
 		}
-		if opts.StarveLoads {
+		if opts.StarveLoads && !w.ldSpent {
 			if w.ldChosen && !m.CanResolve(w.ldTid) {
 				w.ldChosen = false // victim's queue drained: vow over
+			} else if w.ldChosen && m.Steps()-w.ldSteps >= loadVowSteps {
+				w.ldChosen, w.ldSpent = false, true // vow expired: none again
 			}
-			if !w.ldChosen && m.NextForcesResolve(tid) {
-				w.ldChosen, w.ldTid = true, tid
+			if !w.ldSpent && !w.ldChosen && m.NextForcesResolve(tid) {
+				w.ldChosen, w.ldTid, w.ldSteps = true, tid, m.Steps()
 			}
 			if w.ldChosen && w.ldTid == tid && m.NextForcesResolve(tid) && canExecOther(census, actable, tid) {
 				// Load-starvation vow: executing the victim's next
@@ -533,6 +544,21 @@ func lowest(ps []float64) int {
 // variable: the spinner can always execute, so the forced-flush escape
 // never triggers and the run burns its whole MaxSteps budget.
 const starveVowSteps = 4096
+
+// loadVowSteps bounds the load-starvation vow's lifetime in machine steps,
+// as starveVowSteps bounds the store vow's; once a vow outlives it, no
+// further load vow is sworn in that execution. The vow normally ends when
+// the victim's deferred queue drains, but where the other threads
+// spin-wait on a lock the stalled victim holds (the two-lock ms2-queue,
+// lazylist-set) their spin steps always count as progress, the queue never
+// drains, and the run burns its whole budget. Measured on ms2-queue under
+// RMO with linearizability, 1000 executions under a 20000-iteration
+// budget: unbounded, 327 of the 332 starve-loads executions hit the
+// budget (~19k iterations each); bounded at 512, those phases run ~314
+// and ~269 iterations per execution against ~138 for the plain coin, with
+// none inconclusive. Bound 4096 reaches the same verdicts at ~1.5k
+// iterations per execution.
+const loadVowSteps = 512
 
 // tryFlush commits one pending store of thread t, choosing the flushed
 // variable uniformly among those with pending entries (under PSO the

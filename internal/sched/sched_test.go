@@ -366,3 +366,81 @@ func TestStrategyString(t *testing.T) {
 		t.Error("strategy names wrong")
 	}
 }
+
+// --- load-starvation vow ---
+
+// buildFlagWait is the shape that livelocked an unbounded load-starvation
+// vow: the setter loads x and prints it (the use force-resolves the
+// deferred load, so the setter is the vow's natural victim), then sets
+// flag; the waiter spin-waits on flag. While the vow stalls the setter,
+// the waiter's spin steps always count as progress, so the setter's
+// deferred queue never drains.
+func buildFlagWait(t *testing.T) *ir.Program {
+	t.Helper()
+	p := ir.NewProgram()
+	for _, g := range []string{"x", "flag"} {
+		if err := p.AddGlobal(&ir.Global{Name: g, Size: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := ir.NewFuncBuilder(p, "setter", 0)
+	xa := s.GlobalAddr("x")
+	xv, _ := s.Load(xa, "x")
+	s.Print(xv)
+	fa := s.GlobalAddr("flag")
+	one := s.Const(1)
+	s.Store(fa, one, "flag")
+	s.Ret()
+	finish(t, s)
+
+	w := ir.NewFuncBuilder(p, "waiter", 0)
+	wfa := w.GlobalAddr("flag")
+	head := w.NextLabel()
+	fv, _ := w.Load(wfa, "flag")
+	nz := w.Not(fv)
+	spin, done := w.CondBrF(nz)
+	spin.Here()
+	w.Br(head)
+	done.Here()
+	w.Ret()
+	finish(t, w)
+
+	mb := ir.NewFuncBuilder(p, "main", 0)
+	t1 := mb.Fork("setter")
+	t2 := mb.Fork("waiter")
+	mb.Join(t1)
+	mb.Join(t2)
+	mb.Ret()
+	finish(t, mb)
+	mustLink(t, p)
+	return p
+}
+
+// TestLoadVowBounded: under RMO with the load-starvation vow on and no
+// iteration budget, every execution of the flag-wait shape finishes — the
+// vow expires loadVowSteps machine steps after it is sworn instead of
+// stalling the setter until the step limit. Both portfolio strategies that
+// swear the vow are covered.
+func TestLoadVowBounded(t *testing.T) {
+	p := buildFlagWait(t)
+	// An execution is at most the vow's lifetime plus a short tail (the
+	// longest of these 400 runs takes 479 iterations). Without the bound
+	// the waiter spins until the 200000-step limit.
+	const maxIters = 2 * loadVowSteps
+	for _, strategy := range []Strategy{Random, Priority} {
+		for s := int64(0); s < 200; s++ {
+			opts := DefaultOptions(s)
+			opts.Strategy = strategy
+			opts.FlushProb = 0.9
+			opts.ResolveProb = 0.05
+			opts.StarveLoads = true
+			res := Run(p, memmodel.RMO, nil, opts)
+			if res.StepLimitHit || res.Violation != nil {
+				t.Fatalf("%v seed %d: step limit %v, violation %v after %d steps", strategy, s, res.StepLimitHit, res.Violation, res.Steps)
+			}
+			if res.SchedIters >= maxIters {
+				t.Fatalf("%v seed %d: %d scheduler iterations, want < %d", strategy, s, res.SchedIters, maxIters)
+			}
+		}
+	}
+}

@@ -16,8 +16,9 @@ import (
 )
 
 // formatVersion identifies this exporter's layout; Read rejects other
-// values so `dfence trace` never mis-summarizes a drifted file.
-const formatVersion = 1
+// values so `dfence trace` never mis-summarizes a drifted file. Version 2
+// added PhaseAgg.Inconclusive.
+const formatVersion = 2
 
 // Data is the on-disk trace: what WriteJSON emits and Read decodes.
 type Data struct {

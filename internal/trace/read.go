@@ -61,6 +61,9 @@ func Read(r io.Reader) (*Data, error) {
 			if a.Phase < 0 || a.Phase >= maxPortfolio {
 				return nil, fmt.Errorf("trace: lane %d: portfolio phase %d out of range", i, a.Phase)
 			}
+			if a.Inconclusive < 0 || a.Inconclusive > a.Execs {
+				return nil, fmt.Errorf("trace: lane %d: phase %d: %d inconclusive of %d executions", i, a.Phase, a.Inconclusive, a.Execs)
+			}
 		}
 	}
 	return &d, nil

@@ -152,6 +152,7 @@ func Summarize(d *Data) string {
 			execs += a.Execs
 			t := &total[a.Phase%maxPortfolio]
 			t.Execs += a.Execs
+			t.Inconclusive += a.Inconclusive
 			t.WallNS += a.WallNS
 			t.Iters += a.Iters
 			t.Steps += a.Steps
@@ -182,8 +183,8 @@ func Summarize(d *Data) string {
 			if a.Iters > 0 {
 				spinShare = 100 * float64(a.Spins) / float64(a.Iters)
 			}
-			fmt.Fprintf(&b, "  phase %d %-38s %6d exec(s)  %10s  %7.0f iters/exec  %8.1f spins/exec (%4.1f%% of iters)\n",
-				p, portfolioLabels[p], a.Execs,
+			fmt.Fprintf(&b, "  phase %d %-38s %6d exec(s) %5d inconclusive  %10s  %7.0f iters/exec  %8.1f spins/exec (%4.1f%% of iters)\n",
+				p, portfolioLabels[p], a.Execs, a.Inconclusive,
 				time.Duration(a.WallNS).Round(10*time.Microsecond),
 				float64(a.Iters)/float64(a.Execs), spinsPer, spinShare)
 		}

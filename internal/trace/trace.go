@@ -14,10 +14,10 @@
 // TestTracingDisabledIdentical pin. When enabled it is bounded: span
 // events land in fixed-size per-lane ring buffers (oldest overwritten,
 // drops counted), and per-execution spans are sampled 1-in-SampleEvery —
-// while per-portfolio-phase aggregates (executions, wall, scheduler
-// iterations, machine steps, deferral spins) are exact, updated on every
-// execution regardless of sampling. Long service jobs therefore trace in
-// O(ring), not O(executions).
+// while per-portfolio-phase aggregates (executions, inconclusive
+// executions, wall, scheduler iterations, machine steps, deferral spins)
+// are exact, updated on every execution regardless of sampling. Long
+// service jobs therefore trace in O(ring), not O(executions).
 package trace
 
 import (
@@ -125,14 +125,16 @@ type event struct {
 
 // PhaseAgg is the exact per-portfolio-phase execution aggregate one lane
 // maintains: every execution lands here whether or not its span was
-// sampled into the ring.
+// sampled into the ring. Inconclusive counts the executions cut off by a
+// step, iteration, or wall-clock budget — the runs that gave no verdict.
 type PhaseAgg struct {
-	Phase  int   `json:"phase"`
-	Execs  int64 `json:"execs"`
-	WallNS int64 `json:"wall_ns"`
-	Iters  int64 `json:"iters"`
-	Steps  int64 `json:"steps"`
-	Spins  int64 `json:"spins"`
+	Phase        int   `json:"phase"`
+	Execs        int64 `json:"execs"`
+	Inconclusive int64 `json:"inconclusive"`
+	WallNS       int64 `json:"wall_ns"`
+	Iters        int64 `json:"iters"`
+	Steps        int64 `json:"steps"`
+	Spins        int64 `json:"spins"`
 }
 
 // lane is one ring buffer plus its aggregates. The mutex makes live
@@ -272,8 +274,10 @@ func (t *Tracer) InstantSampled(laneIdx int, name Name, round int, count int64) 
 // ExecDone records one finished execution on the given lane: the exact
 // per-portfolio-phase aggregate always, plus a sampled SpanExec ring
 // event for 1-in-SampleEvery executions. dur is the execution's wall
-// time; iters/steps/spins come from the scheduler's Result. Nil-safe.
-func (t *Tracer) ExecDone(laneIdx int, portfolio uint8, dur time.Duration, iters, steps, spins int, seed int64) {
+// time; iters/steps/spins come from the scheduler's Result, and
+// inconclusive reports that a budget cut the execution off (a step or
+// iteration limit hit, or a timeout). Nil-safe.
+func (t *Tracer) ExecDone(laneIdx int, portfolio uint8, dur time.Duration, iters, steps, spins int, inconclusive bool, seed int64) {
 	if t == nil {
 		return
 	}
@@ -283,6 +287,9 @@ func (t *Tracer) ExecDone(laneIdx int, portfolio uint8, dur time.Duration, iters
 	ln.mu.Lock()
 	a := &ln.agg[p]
 	a.Execs++
+	if inconclusive {
+		a.Inconclusive++
+	}
 	a.WallNS += int64(dur)
 	a.Iters += int64(iters)
 	a.Steps += int64(steps)

@@ -17,7 +17,7 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 		s.End()
 		tr.Instant(1, InstantViolation, 3, 0)
 		tr.InstantSampled(1, InstantCacheHit, 3, 0)
-		tr.ExecDone(1, 2, time.Millisecond, 100, 40, 7, 42)
+		tr.ExecDone(1, 2, time.Millisecond, 100, 40, 7, false, 42)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f per op, want 0", allocs)
@@ -31,7 +31,7 @@ func TestEnabledTracerSpanZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		s := tr.Begin(1, SpanExec, 1)
 		s.End()
-		tr.ExecDone(1, 0, time.Microsecond, 10, 5, 1, 7)
+		tr.ExecDone(1, 0, time.Microsecond, 10, 5, 1, false, 7)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled tracer span allocated %.1f per op, want 0", allocs)
@@ -71,7 +71,7 @@ func TestRingBounded(t *testing.T) {
 func TestSampling(t *testing.T) {
 	tr := New(Options{Lanes: 1, RingSize: 1024, SampleEvery: 4})
 	for i := 0; i < 40; i++ {
-		tr.ExecDone(1, 1, time.Millisecond, 10, 6, 2, int64(i))
+		tr.ExecDone(1, 1, time.Millisecond, 10, 6, 2, i%4 == 0, int64(i))
 	}
 	d := tr.Snapshot()
 	spans := 0
@@ -89,7 +89,7 @@ func TestSampling(t *testing.T) {
 			agg = &d.Other.Lanes[1].Portfolio[i]
 		}
 	}
-	if agg == nil || agg.Execs != 40 || agg.Iters != 400 || agg.Steps != 240 || agg.Spins != 80 {
+	if agg == nil || agg.Execs != 40 || agg.Inconclusive != 10 || agg.Iters != 400 || agg.Steps != 240 || agg.Spins != 80 {
 		t.Fatalf("aggregate not exact despite sampling: %+v", agg)
 	}
 }
@@ -100,8 +100,8 @@ func TestRoundTrip(t *testing.T) {
 	run := tr.Begin(0, SpanRun, 0)
 	round := tr.Begin(0, SpanRound, 1)
 	c := tr.Begin(0, SpanCollect, 1)
-	tr.ExecDone(1, 0, 50*time.Microsecond, 20, 12, 3, 99)
-	tr.ExecDone(2, 3, 80*time.Microsecond, 30, 18, 5, 100)
+	tr.ExecDone(1, 0, 50*time.Microsecond, 20, 12, 3, false, 99)
+	tr.ExecDone(2, 3, 80*time.Microsecond, 30, 18, 5, true, 100)
 	tr.Instant(1, InstantViolation, 1, 0)
 	c.End()
 	s := tr.Begin(0, SpanSolve, 1)
@@ -123,7 +123,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("lanes = %d, want 3", len(d.Other.Lanes))
 	}
 	sum := Summarize(d)
-	for _, want := range []string{"phase breakdown", "round 1", "worker utilization", "portfolio attribution", "random", "priority+starve+eager-flush", "violation ×1", "solver-restarts ×1"} {
+	for _, want := range []string{"phase breakdown", "round 1", "worker utilization", "portfolio attribution", "random", "priority+starve+eager-flush", "    1 inconclusive", "violation ×1", "solver-restarts ×1"} {
 		if !strings.Contains(sum, want) {
 			t.Fatalf("summary missing %q:\n%s", want, sum)
 		}
@@ -133,12 +133,14 @@ func TestRoundTrip(t *testing.T) {
 // TestReaderRejects pins the strict reader's tripwires.
 func TestReaderRejects(t *testing.T) {
 	cases := map[string]string{
-		"wrong tool":      `{"traceEvents":[],"otherData":{"tool":"other","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
-		"wrong format":    `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":99,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
-		"unknown field":   `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[],"extra":1}}`,
-		"unknown name":    `{"traceEvents":[{"name":"mystery","ph":"X","ts":0,"pid":1,"tid":0}],"otherData":{"tool":"dfence-trace","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
-		"instant as span": `{"traceEvents":[{"name":"violation","ph":"X","ts":0,"pid":1,"tid":0}],"otherData":{"tool":"dfence-trace","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
-		"bad lane index":  `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[{"lane":3,"label":"x"}]}}`,
+		"wrong tool":           `{"traceEvents":[],"otherData":{"tool":"other","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
+		"wrong format":         `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":99,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
+		"unknown field":        `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[],"extra":1}}`,
+		"unknown name":         `{"traceEvents":[{"name":"mystery","ph":"X","ts":0,"pid":1,"tid":0}],"otherData":{"tool":"dfence-trace","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
+		"instant as span":      `{"traceEvents":[{"name":"violation","ph":"X","ts":0,"pid":1,"tid":0}],"otherData":{"tool":"dfence-trace","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
+		"stale format":         `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":1,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[]}}`,
+		"inconclusive > execs": `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[{"lane":0,"label":"x","portfolio":[{"phase":4,"execs":1,"inconclusive":2,"wall_ns":0,"iters":0,"steps":0,"spins":0}]}]}}`,
+		"bad lane index":       `{"traceEvents":[],"otherData":{"tool":"dfence-trace","format":2,"duration_us":0,"sample_every":1,"ring_size":1,"lanes":[{"lane":3,"label":"x"}]}}`,
 	}
 	for name, in := range cases {
 		if _, err := Read(strings.NewReader(in)); err == nil {
@@ -165,8 +167,8 @@ func TestNilSnapshot(t *testing.T) {
 // TestLaneClamp pins that out-of-range lanes degrade instead of panicking.
 func TestLaneClamp(t *testing.T) {
 	tr := New(Options{Lanes: 1, RingSize: 8, SampleEvery: 1})
-	tr.ExecDone(99, 0, time.Microsecond, 1, 1, 0, 0)
-	tr.ExecDone(-5, 0, time.Microsecond, 1, 1, 0, 0)
+	tr.ExecDone(99, 0, time.Microsecond, 1, 1, 0, false, 0)
+	tr.ExecDone(-5, 0, time.Microsecond, 1, 1, 0, false, 0)
 	d := tr.Snapshot()
 	if got := d.Other.Lanes[1].Portfolio[0].Execs; got != 1 {
 		t.Fatalf("high lane clamped execs = %d, want 1", got)
