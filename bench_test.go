@@ -12,6 +12,7 @@
 //	BenchmarkChecker/*        SC / linearizability checker throughput
 //	BenchmarkSAT/*            repair-formula minimal-model extraction
 //	BenchmarkStaticSynthesis/* static fix (analysis + hitting set) per model
+//	BenchmarkEnumerate/*      exhaustive ground-truth enumeration per model
 //	BenchmarkAblation/*       design-choice ablations (DESIGN.md)
 //
 // Reported custom metrics: fences/op (inferred fences), violations/op
@@ -32,6 +33,7 @@ import (
 	"dfence/internal/interp"
 	"dfence/internal/ir"
 	"dfence/internal/memmodel"
+	"dfence/internal/proggen"
 	"dfence/internal/progs"
 	"dfence/internal/sat"
 	"dfence/internal/sched"
@@ -536,6 +538,45 @@ func BenchmarkStaticSynthesis(b *testing.B) {
 				b.ReportMetric(float64(baseline)/float64(b.N), "baseline/op")
 			})
 		}
+	}
+}
+
+// BenchmarkEnumerate measures the exhaustive explorer the differential
+// fuzzer checks every sampled and synthesized result against: one op
+// enumerates every litmus template (each critical-cycle shape over 2 and 3
+// threads, in all three fence variants) under one relaxed model. states/s
+// is the layer's throughput figure; allocs/op shows what the per-depth
+// machine pool leaves allocating (state keys, the seen set, outcomes).
+func BenchmarkEnumerate(b *testing.B) {
+	var tmpls []*ir.Program
+	for _, threads := range []int{2, 3} {
+		for _, shape := range staticanalysis.CriticalCycleShapes(memmodel.RMO, threads) {
+			for _, v := range proggen.TemplateVariants() {
+				p, err := proggen.TemplateProg(shape, v).Compile()
+				if err != nil {
+					b.Fatal(err)
+				}
+				tmpls = append(tmpls, p)
+			}
+		}
+	}
+	for _, m := range []memmodel.Model{memmodel.TSO, memmodel.PSO, memmodel.RMO} {
+		m := m
+		b.Run(m.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			states := 0
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for _, p := range tmpls {
+					states += proggen.Enumerate(p, m, proggen.EnumOptions{}).States
+				}
+			}
+			wall := time.Since(start)
+			b.ReportMetric(float64(states)/float64(b.N), "states/op")
+			if wall > 0 {
+				b.ReportMetric(float64(states)/wall.Seconds(), "states/s")
+			}
+		})
 	}
 }
 

@@ -1,13 +1,60 @@
-// State fingerprinting for exhaustive-exploration clients. The brute-force
-// interleaving enumerator (internal/proggen) replays choice prefixes on a
-// pooled Machine and prunes any prefix that lands in a machine state it has
-// already expanded; that needs a canonical byte encoding of *all* state
-// that can influence either future transitions or the recorded outcome.
-// The encoding lives here because frames, buffers, and the memory image
-// are unexported.
+// State copying and fingerprinting for exhaustive-exploration clients. The
+// brute-force interleaving enumerator (internal/proggen) keeps one Machine
+// per search depth: it copies a decision point's state into the next
+// depth's machine (CopyFrom), applies one transition there, and prunes any
+// state it has already expanded, which needs a canonical byte encoding of
+// *all* state that can influence either future transitions or the
+// recorded outcome (AppendStateKey). Both live here because frames,
+// buffers, and the memory image are unexported.
 package interp
 
 import "encoding/binary"
+
+// CopyFrom makes m an independent deep copy of src: the same compiled
+// program, model, observer, memory image, live units, output, history,
+// thread table (frames, registers, store buffers, deferred-load queues,
+// operation depth), step count, violation, exit code, and touched-fence
+// mask. m's storage is reused, as Reset reuses it, and nothing in m
+// aliases src's mutable state afterwards — history arguments are re-homed
+// into m's own argument arena — so stepping either machine leaves the
+// other unchanged. The violation is shared: a *Violation is never mutated
+// once recorded.
+func (m *Machine) CopyFrom(src *Machine) {
+	m.c = src.c
+	m.model = src.model
+	m.obs = src.obs
+	m.steps = src.steps
+	m.violated = src.violated
+	m.exitCode = src.exitCode
+	m.touched = src.touched
+	m.mem = append(m.mem[:0], src.mem...)
+	m.units.units = append(m.units.units[:0], src.units.units...)
+	m.output = append(m.output[:0], src.output...)
+
+	for i := range m.argBlocks {
+		m.argBlocks[i] = m.argBlocks[i][:0]
+	}
+	m.argCur = 0
+	m.history = append(m.history[:0], src.history...)
+	for i := range m.history {
+		if e := &m.history[i]; len(e.Args) > 0 {
+			args := m.allocArgs(len(e.Args))
+			copy(args, e.Args)
+			e.Args = args
+		}
+	}
+
+	m.threads = m.threads[:0]
+	for i := range src.threads {
+		s := &src.threads[i]
+		t := m.newThread()
+		t.frames = append(t.frames, s.frames...)
+		t.regs = append(t.regs, s.regs...)
+		t.defq = append(t.defq, s.defq...)
+		t.opDepth = s.opDepth
+		t.buf.CopyFrom(&s.buf)
+	}
+}
 
 // keyNoExclude is an address no store can have, so AppendPendingOther
 // returns every pending entry (the same sentinel memmodel.Buffers.All

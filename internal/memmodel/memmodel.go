@@ -309,6 +309,22 @@ func (b *Buffers) Reset(m Model) {
 	b.order = b.order[:0]
 }
 
+// CopyFrom makes b an independent deep copy of src — same model, pending
+// entries, epochs, and address order — reusing b's storage the way Reset
+// does. Nothing in b aliases src afterwards: each pending queue, the
+// out-of-range ones included, is copied into b's own FIFOs.
+func (b *Buffers) CopyFrom(src *Buffers) {
+	b.Reset(src.model)
+	b.count = src.count
+	b.epoch = src.epoch
+	b.tso.ents = append(b.tso.ents, src.tso.slice()...)
+	for _, a := range src.order {
+		q := b.queueFor(a)
+		q.ents = append(q.ents, src.queue(a).slice()...)
+	}
+	b.order = append(b.order, src.order...)
+}
+
 // Model returns the memory model these buffers implement.
 func (b *Buffers) Model() Model { return b.model }
 

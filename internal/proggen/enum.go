@@ -6,13 +6,17 @@ package proggen
 // the oldest buffered store for address a", and (under load-deferring
 // models) "thread tid resolves its idx-th deferred load" — so a program's
 // full behavior space is the tree of finite choice sequences. The enumerator
-// walks that tree by depth-first replay: a pooled Machine is Reset and
-// the choice prefix re-applied (the Machine has no snapshot/undo), and
-// each decision point is fingerprinted with Machine.AppendStateKey so any
-// prefix reaching an already-expanded state is pruned. With memoization
-// the cost is O(|states| × branching × replay-depth), which is what keeps
-// litmus-sized programs (a few thousand states) enumerable in
-// milliseconds.
+// walks that tree by pre-order depth-first search over a pool of Machines,
+// one per depth: each child of a decision point is made by copying the
+// parent's machine into the next depth's (Machine.CopyFrom) and applying
+// one transition there, except the last child, which takes the parent's
+// machine itself. No choice prefix is ever re-executed. Each decision
+// point is fingerprinted with Machine.AppendStateKey, and any path
+// reaching an already-expanded state is pruned. With memoization the cost
+// is O(|states| × branching × state size) — at most one copy and one key
+// per edge — which keeps litmus-sized programs (a few thousand states)
+// enumerable in milliseconds. Keys are kept as exact byte strings rather
+// than hashes: a hash collision would silently prune a reachable state.
 //
 // Two reductions keep the tree small without losing outcomes:
 //
@@ -55,8 +59,9 @@ type EnumOptions struct {
 	// MaxStates bounds the number of distinct decision-point states
 	// expanded (default 60000).
 	MaxStates int
-	// MaxSteps bounds machine steps along any single replay (default
-	// 20000) — a backstop; generated programs terminate long before it.
+	// MaxSteps bounds machine steps along any single path from the
+	// initial state (default 20000) — a backstop; generated programs
+	// terminate long before it.
 	MaxSteps int
 	// LocalRun bounds the local-run collapse (default 128).
 	LocalRun int
@@ -132,116 +137,134 @@ func violationString(v *interp.Violation) string {
 	return fmt.Sprintf("%v@L%d: %s", v.Kind, v.Label, v.Msg)
 }
 
-// enumerator holds the replay machinery for one Enumerate call.
+// level is one depth of the DFS: the machine at a decision point and the
+// transitions it offers. Levels are pooled by depth across the whole
+// enumeration, so their storage is reused by every state at that depth.
+type level struct {
+	m       interp.Machine
+	choices []choice
+}
+
+// enumerator holds the per-depth machine pool for one Enumerate call.
 type enumerator struct {
-	c     *interp.Compiled
-	model memmodel.Model
-	opts  EnumOptions
-	m     interp.Machine
-	key   []byte
+	opts EnumOptions
+	res  *EnumResult
+	seen map[string]struct{}
+	key  []byte
+	pool []*level
+	stop bool // the state budget tripped: expand nothing more
 }
 
 // Enumerate explores every schedule of prog under model within the
 // budgets. prog must be linked.
 func Enumerate(prog *ir.Program, model memmodel.Model, opts EnumOptions) *EnumResult {
 	opts.fill()
-	e := &enumerator{c: interp.Compile(prog), model: model, opts: opts}
-	res := &EnumResult{
-		Model:      model,
-		Outcomes:   make(map[string]bool),
-		Violations: make(map[string]bool),
-		Complete:   true,
+	e := &enumerator{
+		opts: opts,
+		res: &EnumResult{
+			Model:      model,
+			Outcomes:   make(map[string]bool),
+			Violations: make(map[string]bool),
+			Complete:   true,
+		},
+		seen: make(map[string]struct{}),
+		pool: []*level{{}},
 	}
+	e.pool[0].m.Reset(interp.Compile(prog), model, nil)
+	e.visit(0)
+	return e.res
+}
 
-	seen := make(map[string]struct{})
-	// DFS over choice prefixes. Each stack entry owns its backing array
-	// (paths are copied on push), so popping cannot alias a sibling.
-	stack := [][]choice{nil}
-	var scratch []choice
-	for len(stack) > 0 {
-		last := len(stack) - 1
-		path := stack[last]
-		stack = stack[:last]
+// visit expands the decision point held by pool[d] (pre-order DFS): it
+// dedups and counts the state, records a terminal, or else, for each
+// transition in choices order, copies the state into pool[d+1], applies
+// that one transition there, and recurses. The last transition needs no
+// copy — nothing reads this decision point after its last child — so it
+// is applied to pool[d] in place and the loop expands the result.
+func (e *enumerator) visit(d int) {
+	cur := e.pool[d]
+	m := &cur.m
+	for {
+		e.key = m.AppendStateKey(e.key[:0])
+		if _, dup := e.seen[string(e.key)]; dup {
+			return
+		}
+		if e.res.States >= e.opts.MaxStates {
+			// Once the state budget trips, further expansion cannot
+			// restore completeness — stop the whole walk.
+			e.res.Complete = false
+			e.stop = true
+			return
+		}
+		e.seen[string(e.key)] = struct{}{}
+		e.res.States++
 
-		overBudget := e.replay(path)
-		if overBudget {
-			res.Complete = false
-			continue
-		}
-		e.key = e.m.AppendStateKey(e.key[:0])
-		if _, dup := seen[string(e.key)]; dup {
-			continue
-		}
-		if res.States >= e.opts.MaxStates {
-			res.Complete = false
-			// Keep draining the stack cheaply? No: once the state budget
-			// trips, further expansion cannot restore completeness — stop.
-			break
-		}
-		seen[string(e.key)] = struct{}{}
-		res.States++
-
-		if e.m.Done() {
-			res.Paths++
-			if v := e.m.Violation(); v != nil {
-				res.Violations[violationString(v)] = true
+		if m.Done() {
+			e.res.Paths++
+			if v := m.Violation(); v != nil {
+				e.res.Violations[violationString(v)] = true
 			} else {
-				res.Outcomes[OutcomeString(e.m.Output(), e.m.ExitCode())] = true
+				e.res.Outcomes[OutcomeString(m.Output(), m.ExitCode())] = true
 			}
-			continue
+			return
 		}
 
-		scratch = e.choices(scratch[:0])
-		if len(scratch) == 0 {
+		cur.choices = e.choices(m, cur.choices[:0])
+		if len(cur.choices) == 0 {
 			// No transition possible and not Done: a deadlock terminal
 			// (e.g. a join on a thread that can never finish).
-			res.Paths++
-			res.Violations[violationString(&interp.Violation{
+			e.res.Paths++
+			e.res.Violations[violationString(&interp.Violation{
 				Kind:  interp.VDeadlock,
 				Label: ir.NoLabel,
 				Msg:   "no thread can make progress",
 			})] = true
-			continue
+			return
 		}
-		// Push in reverse so choices explore in their natural order.
-		for i := len(scratch) - 1; i >= 0; i-- {
-			next := make([]choice, len(path)+1)
-			copy(next, path)
-			next[len(path)] = scratch[i]
-			stack = append(stack, next)
+		if d+1 == len(e.pool) {
+			e.pool = append(e.pool, &level{})
 		}
-	}
-	return res
-}
-
-// replay resets the machine and re-applies a choice prefix, reporting
-// whether the step budget tripped.
-func (e *enumerator) replay(path []choice) (overBudget bool) {
-	m := &e.m
-	m.Reset(e.c, e.model, nil)
-	for _, ch := range path {
-		if ch.flush {
-			m.FlushOne(ch.tid, ch.addr)
-		} else if ch.resolve {
-			m.ResolveOne(ch.tid, ch.idx)
-		} else {
-			kind := m.StepThread(ch.tid)
-			// Local-run collapse (mirrors sched.Run's POR window): a
-			// thread that only touched registers or thread-local memory
-			// keeps going — interleaving those steps cannot change any
-			// observable outcome.
-			for n := 0; kind == interp.StepLocal && n < e.opts.LocalRun; n++ {
-				if m.Violation() != nil || !m.CanExec(ch.tid) {
-					break
-				}
-				kind = m.StepThread(ch.tid)
+		next := &e.pool[d+1].m
+		last := len(cur.choices) - 1
+		for _, ch := range cur.choices[:last] {
+			next.CopyFrom(m)
+			if e.apply(next, ch) {
+				e.res.Complete = false
+				continue
+			}
+			e.visit(d + 1)
+			if e.stop {
+				return
 			}
 		}
-		if m.Steps() >= e.opts.MaxSteps {
-			return true
+		if e.apply(m, cur.choices[last]) {
+			e.res.Complete = false
+			return
 		}
 	}
-	return false
+}
+
+// apply performs one transition on m, reporting whether the step budget
+// tripped.
+func (e *enumerator) apply(m *interp.Machine, ch choice) (overBudget bool) {
+	if ch.flush {
+		m.FlushOne(ch.tid, ch.addr)
+	} else if ch.resolve {
+		m.ResolveOne(ch.tid, ch.idx)
+	} else {
+		kind := m.StepThread(ch.tid)
+		// Local-run collapse (mirrors sched.Run's POR window): a
+		// thread that only touched registers or thread-local memory
+		// keeps going — interleaving those steps cannot change any
+		// observable outcome.
+		for n := 0; kind == interp.StepLocal && n < e.opts.LocalRun; n++ {
+			if m.Violation() != nil || !m.CanExec(ch.tid) {
+				break
+			}
+			kind = m.StepThread(ch.tid)
+		}
+	}
+	return m.Steps() >= e.opts.MaxSteps
 }
 
 // choices enumerates the transitions available at the machine's current
@@ -253,8 +276,7 @@ func (e *enumerator) replay(path []choice) (overBudget bool) {
 // every queue index: out-of-order resolution is exactly the load
 // reordering the deferring models exhibit, so skipping indices would
 // prune reachable outcomes.
-func (e *enumerator) choices(dst []choice) []choice {
-	m := &e.m
+func (e *enumerator) choices(m *interp.Machine, dst []choice) []choice {
 	n := m.NumThreads()
 	for tid := 0; tid < n; tid++ {
 		if m.CanExec(tid) {
@@ -265,9 +287,7 @@ func (e *enumerator) choices(dst []choice) []choice {
 		if !m.CanFlush(tid) {
 			continue
 		}
-		// FlushableAddrs copies; the view would be invalidated by nothing
-		// here, but the copy keeps this loop obviously safe.
-		for _, addr := range m.Thread(tid).Buffers().FlushableAddrs() {
+		for _, addr := range m.Thread(tid).Buffers().FlushableAddrsView() {
 			dst = append(dst, choice{tid: tid, flush: true, addr: addr})
 		}
 	}
