@@ -8,36 +8,38 @@ import (
 )
 
 // runAll drives the machine to completion with a simple deterministic
-// scheduler: repeatedly give each thread a step (executing or flushing)
-// until done. Good enough for single-threaded and join-ordered tests.
+// scheduler (see drive). Good enough for single-threaded and join-ordered
+// tests.
 func runAll(t *testing.T, m *Machine, maxSteps int) {
 	t.Helper()
-	for i := 0; i < maxSteps && !m.Done(); i++ {
+	drive(m, maxSteps)
+	if !m.Done() {
+		t.Fatal("machine did not finish: step budget exhausted or no thread can act (deadlock)")
+	}
+}
+
+// drive makes up to n moves, each giving the first thread that can act
+// one step (executing, else resolving its oldest deferred load, else
+// flushing), and stops early when the machine is done or stuck.
+func drive(m *Machine, n int) {
+	for i := 0; i < n && !m.Done(); i++ {
 		moved := false
-		for tid := 0; tid < m.NumThreads(); tid++ {
-			if m.CanExec(tid) {
+		for tid := 0; tid < m.NumThreads() && !moved; tid++ {
+			switch {
+			case m.CanExec(tid):
 				m.StepThread(tid)
-				moved = true
-				break
-			}
-			if m.CanResolve(tid) {
+			case m.CanResolve(tid):
 				m.ResolveOne(tid, 0)
-				moved = true
-				break
+			case m.CanFlush(tid):
+				m.FlushOne(tid, m.Thread(tid).Buffers().FlushableAddrsView()[0])
+			default:
+				continue
 			}
-			if m.CanFlush(tid) {
-				fl := m.Thread(tid).Buffers().FlushableAddrs()
-				m.FlushOne(tid, fl[0])
-				moved = true
-				break
-			}
+			moved = true
 		}
 		if !moved {
-			t.Fatal("no thread can act but machine not done (deadlock)")
+			return
 		}
-	}
-	if !m.Done() {
-		t.Fatal("machine did not finish within step budget")
 	}
 }
 

@@ -14,31 +14,6 @@ import (
 // faults when it flushes.
 const wildAddr = 1 << 20
 
-// drive makes up to n moves with runAll's deterministic policy (first
-// thread that can execute, else resolve, else flush), stopping early when
-// the machine is done or stuck.
-func drive(m *Machine, n int) {
-	for i := 0; i < n && !m.Done(); i++ {
-		moved := false
-		for tid := 0; tid < m.NumThreads() && !moved; tid++ {
-			switch {
-			case m.CanExec(tid):
-				m.StepThread(tid)
-			case m.CanResolve(tid):
-				m.ResolveOne(tid, 0)
-			case m.CanFlush(tid):
-				m.FlushOne(tid, m.Thread(tid).Buffers().FlushableAddrsView()[0])
-			default:
-				continue
-			}
-			moved = true
-		}
-		if !moved {
-			return
-		}
-	}
-}
-
 // machineState is everything CopyFrom must reproduce, read through the
 // public surface and deep-copied so later mutation of the machine cannot
 // reach it.

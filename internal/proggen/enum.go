@@ -137,9 +137,10 @@ func violationString(v *interp.Violation) string {
 	return fmt.Sprintf("%v@L%d: %s", v.Kind, v.Label, v.Msg)
 }
 
-// level is one depth of the DFS: the machine at a decision point and the
-// transitions it offers. Levels are pooled by depth across the whole
-// enumeration, so their storage is reused by every state at that depth.
+// level is one slot of the DFS's machine pool: the machine at a decision
+// point and the transitions it offers. Levels live for the whole
+// enumeration, so their storage is reused by every state expanded in
+// them.
 type level struct {
 	m       interp.Machine
 	choices []choice
