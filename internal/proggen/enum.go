@@ -210,7 +210,7 @@ func (e *enumerator) visit(d int) {
 			return
 		}
 
-		cur.choices = e.choices(m, cur.choices[:0])
+		cur.choices = choices(m, cur.choices[:0])
 		if len(cur.choices) == 0 {
 			// No transition possible and not Done: a deadlock terminal
 			// (e.g. a join on a thread that can never finish).
@@ -277,7 +277,7 @@ func (e *enumerator) apply(m *interp.Machine, ch choice) (overBudget bool) {
 // every queue index: out-of-order resolution is exactly the load
 // reordering the deferring models exhibit, so skipping indices would
 // prune reachable outcomes.
-func (e *enumerator) choices(m *interp.Machine, dst []choice) []choice {
+func choices(m *interp.Machine, dst []choice) []choice {
 	n := m.NumThreads()
 	for tid := 0; tid < n; tid++ {
 		if m.CanExec(tid) {
