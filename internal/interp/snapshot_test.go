@@ -52,7 +52,7 @@ func stateOf(m *Machine) machineState {
 
 // buildScrambler returns a program that, once run, leaves a machine's
 // pooled storage full of values no test program produces: forked and
-// called operations with arguments 97–99, buffered stores to two globals,
+// called operations with arguments 97–99, buffered stores to three globals,
 // an allocation, and a faulting store to wildAddr.
 func buildScrambler(t *testing.T) *Compiled {
 	t.Helper()
