@@ -56,8 +56,8 @@ FUZZ_SEED ?= 1
 FUZZ_N ?= 200
 FUZZ_OUT ?= /tmp/dfence_fuzz_smoke
 # The engine benchmarks: the acceptance metrics (execution throughput,
-# allocations, cache effect, spec automaton) — what
-# bench-json snapshots and bench-gate regresses against.
+# allocations, synthesis with the execution caches, the spec automaton
+# search) — what bench-json snapshots and bench-gate regresses against.
 ENGINE_BENCH = BenchmarkSynthesizeWorkers|BenchmarkExecutionEngine|BenchmarkSynthesizeCache|BenchmarkSpecAutomaton
 # The gating subset and tolerance for bench-gate: only the acceptance
 # benchmarks' wall-clock metrics gate, and only on a step-function

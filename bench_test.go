@@ -269,10 +269,9 @@ func BenchmarkExecutionEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkSpecAutomaton measures the compiled-spec sequentialization
-// search on realistic Chase-Lev histories: the automaton path (interned
-// states, table-lookup transitions, integer memo keys) versus the legacy
-// string-keyed dfs, each on a reused Checker as the engine uses them.
+// BenchmarkSpecAutomaton measures the sequentialization search
+// (interned states, table-lookup transitions, integer memo keys) on
+// realistic Chase-Lev histories, on a reused Checker as the engine uses it.
 func BenchmarkSpecAutomaton(b *testing.B) {
 	subject, err := progs.ByName("chase-lev")
 	if err != nil {
@@ -285,56 +284,40 @@ func BenchmarkSpecAutomaton(b *testing.B) {
 		ops := spec.RelaxStealAborts(spec.CompleteOps(res.History))
 		histories = append(histories, ops)
 	}
-	for _, disable := range []bool{false, true} {
-		name := "automaton"
-		if disable {
-			name = "legacy-dfs"
+	b.Run("automaton", func(b *testing.B) {
+		b.ReportAllocs()
+		var c spec.Checker
+		for i := 0; i < b.N; i++ {
+			c.Check(spec.SeqConsistency, histories[i%len(histories)], spec.NewDeque, false)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var c spec.Checker
-			c.DisableAutomaton = disable
-			for i := 0; i < b.N; i++ {
-				c.Check(spec.SeqConsistency, histories[i%len(histories)], spec.NewDeque, false)
-			}
-		})
-	}
+	})
 }
 
-// BenchmarkSynthesizeCache measures the cross-phase execution caching:
+// BenchmarkSynthesizeCache measures the cross-phase execution caching on
 // the same Chase-Lev PSO synthesis with fence validation (the phase the
-// fence-touch cache accelerates) with the caches enabled vs disabled.
-// The fence sets are identical either way — the caches are exact.
+// fence-touch outcome transfer accelerates), reporting executions and
+// cache hits per synthesis.
 func BenchmarkSynthesizeCache(b *testing.B) {
 	subject, err := progs.ByName("chase-lev")
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, nocache := range []bool{false, true} {
-		name := "cache=on"
-		if nocache {
-			name = "cache=off"
+	b.Run("cache=on", func(b *testing.B) {
+		b.ReportAllocs()
+		execs, hits := 0, 0
+		for i := 0; i < b.N; i++ {
+			cfg := benchCfg(subject, memmodel.PSO, spec.SeqConsistency, 1)
+			cfg.Workers = 1
+			res, err := core.Synthesize(subject.Program(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			execs += res.TotalExecutions
+			hits += res.CacheHits
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			execs, hits := 0, 0
-			for i := 0; i < b.N; i++ {
-				cfg := benchCfg(subject, memmodel.PSO, spec.SeqConsistency, 1)
-				cfg.Workers = 1
-				cfg.NoExecCache = nocache
-				res, err := core.Synthesize(subject.Program(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				execs += res.TotalExecutions
-				hits += res.CacheHits
-			}
-			b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
-			if !nocache {
-				b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
-			}
-		})
-	}
+		b.ReportMetric(float64(execs)/float64(b.N), "execs/op")
+		b.ReportMetric(float64(hits)/float64(b.N), "cachehits/op")
+	})
 }
 
 // BenchmarkSynthesizePruned measures the static delay-set pruning on the

@@ -153,14 +153,6 @@ type Config struct {
 	// PruneFallbacks counter records it. Default off; results with the
 	// flag off are bit-identical to earlier versions.
 	StaticPrune bool
-	// NoExecCache disables the cross-phase execution caches (see
-	// execcache.go): the per-worker verdict memo, which judges each
-	// distinct history once, and the fence-touch outcome transfer, which
-	// lets the validation and redundancy trials skip executions provably
-	// unaffected by the dropped fences. Both caches are exact, so results
-	// are bit-identical with the flag on or off — the knob exists for
-	// measurement and as the determinism-test control.
-	NoExecCache bool
 	// Metrics, when non-nil, receives the run's hot-path instrumentation:
 	// execution/verdict/cache counters per worker shard, solver effort,
 	// fence lifecycle, and the step/wall-time histograms. Nil (the default)
@@ -999,18 +991,8 @@ func Synthesize(prog *ir.Program, cfg Config) (*Result, error) {
 	result.SynthesizedFences = len(result.Fences)
 	if cfg.ValidateFences && !cfg.EnforceWithCAS && result.Converged && len(result.Fences) > 0 {
 		validateSpan := cfg.Tracer.Begin(0, trace.SpanValidate, 0)
-		handled := false
-		if !cfg.NoExecCache {
-			var err error
-			handled, err = validateFencesCached(prog, &cfg, result, jcs)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !handled {
-			if err := validateFences(prog, &cfg, result, jcs); err != nil {
-				return nil, err
-			}
+		if err := validateFences(prog, &cfg, result, jcs); err != nil {
+			return nil, err
 		}
 		validateSpan.End()
 	}
@@ -1052,20 +1034,49 @@ func emitConverged(cfg *Config, result *Result) {
 // violations, rebuilding the result program from the original plus the
 // surviving fences. Validation runs use a disjoint seed block so fences are
 // not kept merely because the synthesis schedules recur.
+//
+// The touch unit of a fence (see fenceTrialCache) is its insertion site:
+// every fence inserted after one label forms a block there, and dropping
+// one of them changes only that block — synth.InsertFences may also
+// collapse the block's remaining same-kind neighbours — so an execution
+// that never entered the block runs identically without it. The block's
+// first instruction is the last fence inserted at the site; watching it
+// records which executions entered the block.
 func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCache) error {
-	budget := cfg.ValidateExecs // fill() defaulted this to 3 * ExecsPerRound
 	seedBase := cfg.Seed + 1_000_003
-	trial := func(fences []synth.InsertedFence) (bool, error) {
-		p := orig.Clone()
-		if _, err := synth.InsertFences(p, fences); err != nil {
-			return false, err
-		}
-		// One violation decides the trial, so the batch early-cancels the
-		// remaining workers as soon as any execution violates.
-		_, found := violationBatch(p, cfg, jcs, budget, true, func(i int) sched.Options {
+	fc := &fenceTrialCache{
+		cfg: cfg, jcs: jcs, budget: cfg.ValidateExecs, // fill() defaulted this to 3 * ExecsPerRound
+		base: make([]baseEntry, cfg.ValidateExecs),
+		optsFor: func(i int) sched.Options {
 			return trialOpts(cfg, seedBase, i)
-		})
-		return !found, nil
+		},
+	}
+	site := make(map[ir.Label]int) // insertion site -> touch unit
+	for _, f := range result.Fences {
+		if _, ok := site[f.After]; !ok {
+			site[f.After] = len(site)
+		}
+	}
+	compile := func(fences []synth.InsertedFence) (*interp.Compiled, []int, error) {
+		p := orig.Clone()
+		final, err := synth.InsertFences(p, fences)
+		if err != nil {
+			return nil, nil, err
+		}
+		head := make(map[ir.Label]ir.Label, len(site))
+		for _, f := range final {
+			head[f.After] = f.Label
+		}
+		var watch []ir.Label
+		var units []int
+		for _, f := range final {
+			if u := site[f.After]; head[f.After] == f.Label && u < interp.MaxWatchedFences {
+				watch = append(watch, f.Label)
+				units = append(units, u)
+			}
+		}
+		c, err := interp.CompileWatched(p, watch)
+		return c, units, err
 	}
 	kept := append([]synth.InsertedFence(nil), result.Fences...)
 	// Try dropping fences newest-first: later rounds react to rarer
@@ -1073,19 +1084,22 @@ func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCa
 	for i := len(kept) - 1; i >= 0; i-- {
 		dropped := kept[i]
 		candidate := append(append([]synth.InsertedFence(nil), kept[:i]...), kept[i+1:]...)
-		ok, err := trial(candidate)
-		if err != nil {
-			return err
+		if seeds := fc.mustRun(site[dropped.After]); len(seeds) > 0 {
+			c, units, err := compile(candidate)
+			if err != nil {
+				return err
+			}
+			if fc.trial(c, seeds, units) {
+				continue // a violation needs this fence: keep it
+			}
 		}
-		if ok {
-			kept = candidate
-			result.Redundant++
-			cfg.mv.FencesRemoved.Inc(0)
-			telemetry.Emit(cfg.Sink, telemetry.FenceChange{
-				Action: "drop-redundant",
-				Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
-			})
-		}
+		kept = candidate
+		result.Redundant++
+		cfg.mv.FencesRemoved.Inc(0)
+		telemetry.Emit(cfg.Sink, telemetry.FenceChange{
+			Action: "drop-redundant",
+			Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
+		})
 	}
 	p := orig.Clone()
 	final, err := synth.InsertFences(p, kept)
@@ -1094,6 +1108,8 @@ func validateFences(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCa
 	}
 	result.Program = p
 	result.Fences = final
+	result.CacheHits += fc.skipped
+	cfg.mv.CacheHits.Add(0, int64(fc.skipped))
 	return nil
 }
 
@@ -1135,27 +1151,46 @@ func FindRedundantFences(prog *ir.Program, cfg Config, execsPerFence int) ([]ir.
 		execsPerFence = 2 * cfg.ExecsPerRound
 	}
 	jcs := newJudgeCaches(&cfg)
-	verify := func(p *ir.Program) error {
-		if err := staticanalysis.Verify(p); err != nil {
-			return fmt.Errorf("core: program failed verification after fence removal: %w", err)
-		}
-		return nil
-	}
-	if !cfg.NoExecCache {
-		if redundant, handled, err := findRedundantCached(prog, &cfg, jcs, execsPerFence, verify); handled {
-			return redundant, err
-		}
-	}
-	clean := func(p *ir.Program) bool {
-		_, found := violationBatch(p, &cfg, jcs, execsPerFence, true, func(i int) sched.Options {
-			return trialOpts(&cfg, cfg.Seed, i)
-		})
-		return !found
-	}
-	if !clean(prog) {
-		return nil, fmt.Errorf("core: program violates its specification even with all fences present")
-	}
 	kept := prog.Fences()
+	fc := &fenceTrialCache{
+		cfg: &cfg, jcs: jcs, budget: execsPerFence,
+		optsFor: func(i int) sched.Options {
+			return trialOpts(&cfg, cfg.Seed, i)
+		},
+	}
+	// watched lists the fences of kept that a candidate without fence
+	// skip (and without those already found redundant) still holds and
+	// that own a watch slot; a fence's touch unit is its index in kept.
+	// Labels are stable across Clone, and removeFences leaves other
+	// fences' labels untouched.
+	isRedundant := make([]bool, len(kept))
+	watched := func(skip int) (watch []ir.Label, units []int) {
+		for j, l := range kept {
+			if j != skip && !isRedundant[j] && j < interp.MaxWatchedFences {
+				watch = append(watch, l)
+				units = append(units, j)
+			}
+		}
+		return watch, units
+	}
+	watch, units := watched(-1)
+	baseC, err := interp.CompileWatched(prog, watch)
+	if err != nil {
+		return nil, err
+	}
+	allSeeds := make([]int, execsPerFence)
+	for i := range allSeeds {
+		allSeeds[i] = i
+	}
+	// The all-fences baseline doubles as the initial cleanliness check.
+	out := watchedBatch(baseC, &cfg, jcs, allSeeds, fc.optsFor, false)
+	for _, o := range out {
+		if o.violated {
+			return nil, fmt.Errorf("core: program violates its specification even with all fences present")
+		}
+	}
+	fc.seedBaseline(out, units)
+
 	var redundant []ir.Label
 	for i := len(kept) - 1; i >= 0; i-- {
 		// Try without fence i (and without those already found redundant).
@@ -1165,9 +1200,18 @@ func FindRedundantFences(prog *ir.Program, cfg Config, execsPerFence int) ([]ir.
 		if err := staticanalysis.Verify(trial); err != nil {
 			return nil, fmt.Errorf("core: program failed verification after fence removal: %w", err)
 		}
-		if clean(trial) {
-			redundant = append(redundant, kept[i])
+		if seeds := fc.mustRun(i); len(seeds) > 0 {
+			watch, units := watched(i)
+			c, err := interp.CompileWatched(trial, watch)
+			if err != nil {
+				return nil, err
+			}
+			if fc.trial(c, seeds, units) {
+				continue // a violation needs this fence
+			}
 		}
+		redundant = append(redundant, kept[i])
+		isRedundant[i] = true
 	}
 	return redundant, nil
 }
@@ -1233,7 +1277,7 @@ func branchesTo(f *ir.Func, l ir.Label) bool {
 // scheduler-effectiveness benchmarks.
 func CheckOnly(prog *ir.Program, cfg Config, n int) (violations int) {
 	cfg.fill()
-	violations, _ = violationBatch(prog, &cfg, newJudgeCaches(&cfg), n, false, func(i int) sched.Options {
+	return violationBatch(prog, &cfg, newJudgeCaches(&cfg), n, func(i int) sched.Options {
 		return sched.Options{
 			Seed:      cfg.Seed + int64(i),
 			FlushProb: cfg.FlushProb,
@@ -1243,5 +1287,4 @@ func CheckOnly(prog *ir.Program, cfg Config, n int) (violations int) {
 			Tracer:    cfg.Tracer,
 		}
 	})
-	return violations
 }

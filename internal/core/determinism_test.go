@@ -14,12 +14,13 @@ import (
 	"dfence/internal/spec"
 )
 
-// The engine-determinism corpus tests: machine pooling (PR 4's compiled
-// dispatch + Reset reuse) and the execution caches are pure performance
-// mechanisms, so every observable result must be bit-identical to the
-// fresh-machine, cache-free paths — across the whole litmus and benchmark
-// corpus, under both memory models, and under -race (the CI race job runs
-// this package).
+// The engine-determinism corpus tests: machine pooling (compiled dispatch
+// + Reset reuse) is a pure performance mechanism, so every observable
+// result must be bit-identical to the fresh-machine path — across the
+// whole litmus and benchmark corpus, under both memory models, and under
+// -race (the CI race job runs this package). The execution caches are
+// pinned by recorded results instead (testdata/trial_outcomes.txt,
+// testdata/golden_digests.txt).
 
 // execKey summarizes one execution for bit-identity comparison.
 func execKey(res *interp.Result) string {
@@ -96,9 +97,9 @@ func resultKey(res *Result) string {
 }
 
 // TestSynthesizeCacheAndWorkerDeterminism: full synthesis (with fence
-// validation) is bit-identical between the serial cache-free configuration
-// and the parallel cache-enabled one, for representative benchmarks under
-// all four models.
+// validation) is bit-identical with one worker and with four — the
+// verdict memos are per worker, so their hit pattern differs — for
+// representative benchmarks under all four models.
 func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 	subjects := []string{"chase-lev", "cilk-the", "ms2-queue", "lifo-iwsq"}
 	models := []memmodel.Model{memmodel.SC, memmodel.TSO, memmodel.PSO, memmodel.RMO}
@@ -143,19 +144,15 @@ func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 				MaxItersPerExec: 200_000,
 			}
 			var keys []string
-			for _, mode := range []struct {
-				workers int
-				nocache bool
-			}{{1, true}, {1, false}, {4, false}} {
+			for _, workers := range []int{1, 4} {
 				cfg := base
-				cfg.Workers = mode.workers
-				cfg.NoExecCache = mode.nocache
+				cfg.Workers = workers
 				res, err := Synthesize(b.Program(), cfg)
 				if err != nil {
-					t.Fatalf("%s/%v workers=%d nocache=%v: %v", name, model, mode.workers, mode.nocache, err)
+					t.Fatalf("%s/%v workers=%d: %v", name, model, workers, err)
 				}
-				if !mode.nocache && res.CacheHits+res.CacheMisses == 0 && res.TotalExecutions > 0 {
-					t.Errorf("%s/%v: cache-enabled run recorded no cache traffic", name, model)
+				if res.CacheHits+res.CacheMisses == 0 && res.TotalExecutions > 0 {
+					t.Errorf("%s/%v: run recorded no cache traffic", name, model)
 				}
 				keys = append(keys, resultKey(res))
 			}
@@ -165,43 +162,5 @@ func TestSynthesizeCacheAndWorkerDeterminism(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestFindRedundantCacheDeterminism: the cached redundancy scan returns
-// the identical label set as the uncached scan on a program that carries
-// synthesized fences.
-func TestFindRedundantCacheDeterminism(t *testing.T) {
-	b, err := progs.ByName("chase-lev")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Model:         memmodel.PSO,
-		Criterion:     spec.SeqConsistency,
-		NewSpec:       b.NewSpec(),
-		ExecsPerRound: 150,
-		MaxRounds:     5,
-		Seed:          7,
-	}
-	res, err := Synthesize(b.Program(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Fences) == 0 {
-		t.Skip("no fences synthesized; redundancy scan is vacuous")
-	}
-	var got [][]ir.Label
-	for _, nocache := range []bool{false, true} {
-		c := cfg
-		c.NoExecCache = nocache
-		labels, err := FindRedundantFences(res.Program, c, 150)
-		if err != nil {
-			t.Fatalf("nocache=%v: %v", nocache, err)
-		}
-		got = append(got, labels)
-	}
-	if fmt.Sprint(got[0]) != fmt.Sprint(got[1]) {
-		t.Fatalf("redundancy scan diverged: cached=%v uncached=%v", got[0], got[1])
 	}
 }

@@ -18,17 +18,18 @@
 //     Trials are compiled with interp.CompileWatched, which records per
 //     seed the bitmask of fences the execution reached; a trial then
 //     runs only the seeds whose outcome the candidate could actually
-//     change. The validation pass arms this baseline opportunistically:
-//     a failed drop early-stops exactly like the uncached pass (no
-//     baseline cost), while a successful drop necessarily ran its whole
-//     seed block clean — the same executions the uncached pass pays for —
-//     and those watched results become the baseline for every later
-//     trial. The redundancy scan seeds the baseline from its all-fences
-//     cleanliness check, which the uncached scan runs in full anyway.
+//     change. A fence with no watch slot of its own counts as touched by
+//     every execution, so its trial runs the whole seed block. The
+//     validation pass arms the baseline as it goes: a failed drop
+//     early-stops at its first violation, while a successful drop ran
+//     every must-run seed clean, and those watched results become the
+//     baseline for every later trial. The redundancy scan seeds the
+//     baseline from its all-fences cleanliness check.
 //
 // Both caches are exact — they skip recomputation, never approximate it —
-// so synthesis results are bit-identical with Config.NoExecCache on or
-// off (the determinism tests in determinism_test.go enforce this).
+// so every trial's any-violation verdict is the one a full run of its seed
+// block would give. testdata/trial_outcomes.txt and golden_digests.txt pin
+// the results.
 package core
 
 import (
@@ -36,18 +37,15 @@ import (
 	"encoding/binary"
 
 	"dfence/internal/interp"
-	"dfence/internal/ir"
 	"dfence/internal/sched"
 	"dfence/internal/spec"
-	"dfence/internal/synth"
-	"dfence/internal/telemetry"
 	"dfence/internal/trace"
 )
 
 // maxJudgeMemoEntries bounds each worker's verdict memo. At the cap the
 // memo stops inserting (lookups keep working), so a pathological workload
-// with unbounded distinct histories degrades to the uncached cost plus
-// one map probe instead of growing without bound.
+// with unbounded distinct histories degrades to one search per execution
+// plus one map probe instead of growing without bound.
 const maxJudgeMemoEntries = 1 << 16
 
 // judgeCache is one worker's verdict memo. It is owned by the reduce
@@ -64,12 +62,8 @@ type judgeCache struct {
 	hits, misses int64
 }
 
-// newJudgeCaches returns one verdict memo per worker, or nil when the
-// config disables caching (judgeWorker falls back to plain judge).
+// newJudgeCaches returns one verdict memo per worker.
 func newJudgeCaches(cfg *Config) []judgeCache {
-	if cfg.NoExecCache {
-		return nil
-	}
 	return make([]judgeCache, cfg.Workers)
 }
 
@@ -91,9 +85,6 @@ func judgeWorker(cfg *Config, jcs []judgeCache, worker int, res *interp.Result) 
 	}
 	if res.Violation != nil {
 		return verdictViolation
-	}
-	if jcs == nil || worker >= len(jcs) {
-		return judge(cfg, res)
 	}
 	jc := &jcs[worker]
 	jc.key = appendHistoryKey(jc.key[:0], res.History)
@@ -177,7 +168,7 @@ func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int
 			if err != nil {
 				// The touched mask of a panicked execution is unknowable, so
 				// report every fence touched: the seed is re-run in every
-				// trial, exactly as the uncached pass would.
+				// trial.
 				cfg.mv.Panics.Inc(worker)
 				return trialOut{ran: true, mask: ^uint64(0)}, false
 			}
@@ -191,18 +182,20 @@ func watchedBatch(c *interp.Compiled, cfg *Config, jcs []judgeCache, seeds []int
 
 // baseEntry is the baseline record of one trial seed: whether the
 // current fence set's execution at that seed is known (and clean — only
-// clean runs are recorded), and the canonical mask (bit = fence's index
-// in the original fence list) of fences it reached. Unknown seeds are
-// must-run for every trial.
+// clean runs are recorded), and the canonical mask of the touch units it
+// reached. Unknown seeds are must-run for every trial.
 type baseEntry struct {
 	known   bool
 	touched uint64
 }
 
 // fenceTrialCache drives the outcome transfer for one greedy
-// fence-dropping pass. Fences are identified by their index in the
-// original list (the canonical bit), which stays stable as the kept set
-// shrinks.
+// fence-dropping pass. A touch unit is identified by a canonical index
+// that stays stable as the kept set shrinks (validation: the fence's
+// insertion site; redundancy scan: the fence's index in the program's
+// fence list). Units below interp.MaxWatchedFences own one canonical mask
+// bit; the rest have no watch slot and count as touched by every
+// execution.
 type fenceTrialCache struct {
 	cfg     *Config
 	jcs     []judgeCache
@@ -214,36 +207,36 @@ type fenceTrialCache struct {
 	skipped int
 }
 
-// canonicalize maps a watch-order touched mask to canonical fence bits.
-func canonicalize(mask uint64, bits []int) uint64 {
+// canonicalize maps a watch-order touched mask to canonical unit bits;
+// units[w] is the touch unit of watch index w.
+func canonicalize(mask uint64, units []int) uint64 {
 	var out uint64
-	for w, bit := range bits {
+	for w, u := range units {
 		if mask&(1<<uint(w)) != 0 {
-			out |= 1 << uint(bit)
+			out |= 1 << uint(u)
 		}
 	}
 	return out
 }
 
 // seedBaseline records the full-seed-block baseline from a violation-free
-// pass: out[k] is seed k's run against the current fence set, bits[w] the
-// canonical bit of watch index w.
-func (fc *fenceTrialCache) seedBaseline(out []trialOut, bits []int) {
+// pass: out[k] is seed k's run against the current fence set.
+func (fc *fenceTrialCache) seedBaseline(out []trialOut, units []int) {
 	fc.base = make([]baseEntry, len(out))
 	for k, o := range out {
-		fc.base[k] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
+		fc.base[k] = baseEntry{known: true, touched: canonicalize(o.mask, units)}
 	}
 }
 
-// mustRun returns the seeds whose verdict the candidate (current set
-// minus the fences in dropMask) could change: seeds with no baseline
-// record yet, and clean runs that reached a dropped fence. Every other
-// seed's execution is bit-identical under the candidate, so its clean
-// verdict transfers.
-func (fc *fenceTrialCache) mustRun(dropMask uint64) []int {
+// mustRun returns the seeds whose verdict dropping a fence of the given
+// touch unit could change: seeds with no baseline record yet, and clean
+// runs that reached the unit — every seed, for a unit with no watch slot.
+// Every other seed's execution is bit-identical under the candidate, so
+// its clean verdict transfers.
+func (fc *fenceTrialCache) mustRun(unit int) []int {
 	var seeds []int
 	for k := range fc.base {
-		if !fc.base[k].known || fc.base[k].touched&dropMask != 0 {
+		if unit >= interp.MaxWatchedFences || !fc.base[k].known || fc.base[k].touched&(1<<uint(unit)) != 0 {
 			seeds = append(seeds, k)
 		}
 	}
@@ -258,10 +251,9 @@ func (fc *fenceTrialCache) mustRun(dropMask uint64) []int {
 // the candidate becomes the new kept set — so the trial's own watched
 // results refresh the baseline entries of the seeds that ran, while the
 // transferred seeds' entries stay valid verbatim (their executions are
-// bit-identical under the new set and their masks cannot contain the
-// dropped bit). This is what arms the cache without a dedicated
+// bit-identical under the new set and never reached the dropped unit). This is what arms the cache without a dedicated
 // baseline pass in validation.
-func (fc *fenceTrialCache) trial(c *interp.Compiled, seeds []int, bits []int) bool {
+func (fc *fenceTrialCache) trial(c *interp.Compiled, seeds []int, units []int) bool {
 	if len(seeds) == 0 {
 		return false
 	}
@@ -272,208 +264,7 @@ func (fc *fenceTrialCache) trial(c *interp.Compiled, seeds []int, bits []int) bo
 		}
 	}
 	for k, o := range out {
-		fc.base[seeds[k]] = baseEntry{known: true, touched: canonicalize(o.mask, bits)}
+		fc.base[seeds[k]] = baseEntry{known: true, touched: canonicalize(o.mask, units)}
 	}
 	return false
-}
-
-// validateFencesCached is validateFences with the outcome transfer. It
-// reports handled == false (leaving result untouched) when the fence set
-// cannot be watched — more fences than interp.MaxWatchedFences, or an
-// insertion-site collision — in which case the caller falls back to the
-// uncached pass. The kept/dropped decisions are bit-identical to the
-// uncached pass: each trial's any-violation verdict is computed over the
-// same seed block, with provably unchanged executions answered from the
-// baseline instead of re-run.
-func validateFencesCached(orig *ir.Program, cfg *Config, result *Result, jcs []judgeCache) (handled bool, err error) {
-	if len(result.Fences) > interp.MaxWatchedFences {
-		return false, nil
-	}
-	seedBase := cfg.Seed + 1_000_003
-	fc := &fenceTrialCache{
-		cfg: cfg, jcs: jcs, budget: cfg.ValidateExecs,
-		optsFor: func(i int) sched.Options {
-			return trialOpts(cfg, seedBase, i)
-		},
-	}
-	// kept[j] pairs each surviving fence with its canonical bit (index in
-	// the original Fences list).
-	type keptFence struct {
-		f   synth.InsertedFence
-		bit int
-	}
-	kept := make([]keptFence, len(result.Fences))
-	for i, f := range result.Fences {
-		kept[i] = keptFence{f: f, bit: i}
-	}
-	// compile rebuilds orig + the given fences and watches each inserted
-	// fence; bits[w] is the canonical bit of watch index w. A skipped
-	// insertion (site collision) breaks the watch mapping and is reported
-	// as unhandled.
-	compile := func(ks []keptFence) (*interp.Compiled, []int, error) {
-		p := orig.Clone()
-		ins := make([]synth.InsertedFence, len(ks))
-		bits := make([]int, len(ks))
-		for j, k := range ks {
-			ins[j] = k.f
-			bits[j] = k.bit
-		}
-		final, ierr := synth.InsertFences(p, ins)
-		if ierr != nil {
-			return nil, nil, ierr
-		}
-		if len(final) != len(ks) {
-			return nil, nil, nil // collision: caller falls back
-		}
-		watch := make([]ir.Label, len(final))
-		for j, f := range final {
-			watch[j] = f.Label
-		}
-		c, cerr := interp.CompileWatched(p, watch)
-		if cerr != nil {
-			return nil, nil, cerr
-		}
-		return c, bits, nil
-	}
-
-	// Compile the full set once, purely to detect unwatchable fence sets
-	// (insertion-site collisions) before mutating the result: no executions
-	// run against it. The baseline arms itself from the first clean trial.
-	if baseC, _, cerr := compile(kept); cerr != nil || baseC == nil {
-		return false, cerr
-	}
-	fc.base = make([]baseEntry, fc.budget)
-
-	for i := len(kept) - 1; i >= 0; i-- {
-		candidate := append(append([]keptFence(nil), kept[:i]...), kept[i+1:]...)
-		seeds := fc.mustRun(1 << uint(kept[i].bit))
-		if len(seeds) > 0 {
-			c, bits, cerr := compile(candidate)
-			if cerr != nil {
-				return true, cerr
-			}
-			if c == nil {
-				return true, errInsertCollision
-			}
-			if fc.trial(c, seeds, bits) {
-				continue // a violation needs this fence: keep it
-			}
-		}
-		dropped := kept[i].f
-		kept = candidate
-		result.Redundant++
-		cfg.mv.FencesRemoved.Inc(0)
-		telemetry.Emit(cfg.Sink, telemetry.FenceChange{
-			Action: "drop-redundant",
-			Fences: telemetry.FencesOf([]synth.InsertedFence{dropped}),
-		})
-	}
-
-	p := orig.Clone()
-	ins := make([]synth.InsertedFence, len(kept))
-	for j, k := range kept {
-		ins[j] = k.f
-	}
-	final, err := synth.InsertFences(p, ins)
-	if err != nil {
-		return true, err
-	}
-	result.Program = p
-	result.Fences = final
-	result.CacheHits += fc.skipped
-	cfg.mv.CacheHits.Add(0, int64(fc.skipped))
-	return true, nil
-}
-
-// findRedundantCached is FindRedundantFences' greedy loop with the
-// outcome transfer. It reports handled == false when the program's fence
-// count exceeds interp.MaxWatchedFences (the caller falls back to the
-// uncached loop). The redundant set is bit-identical to the uncached
-// loop's: trials run over the same seed block with provably unchanged
-// executions answered from the baseline.
-func findRedundantCached(prog *ir.Program, cfg *Config, jcs []judgeCache, execsPerFence int, verify func(*ir.Program) error) (redundant []ir.Label, handled bool, err error) {
-	kept := prog.Fences()
-	if len(kept) > interp.MaxWatchedFences {
-		return nil, false, nil
-	}
-	fc := &fenceTrialCache{
-		cfg: cfg, jcs: jcs, budget: execsPerFence,
-		optsFor: func(i int) sched.Options {
-			return trialOpts(cfg, cfg.Seed, i)
-		},
-	}
-	baseC, cerr := interp.CompileWatched(prog, kept)
-	if cerr != nil {
-		return nil, false, nil // e.g. a watch label is not a fence: fall back
-	}
-	bits := make([]int, len(kept))
-	for i := range bits {
-		bits[i] = i
-	}
-	allSeeds := make([]int, execsPerFence)
-	for i := range allSeeds {
-		allSeeds[i] = i
-	}
-	// The all-fences baseline doubles as the initial cleanliness check.
-	out := watchedBatch(baseC, cfg, jcs, allSeeds, fc.optsFor, false)
-	for _, o := range out {
-		if o.violated {
-			return nil, true, errBaselineViolates
-		}
-	}
-	fc.seedBaseline(out, bits)
-
-	isRedundant := make([]bool, len(kept))
-	for i := len(kept) - 1; i >= 0; i-- {
-		trial := prog.Clone()
-		drop := append(append([]ir.Label(nil), redundant...), kept[i])
-		removeFences(trial, drop)
-		if verr := verify(trial); verr != nil {
-			return nil, true, verr
-		}
-		seeds := fc.mustRun(1 << uint(i))
-		if len(seeds) > 0 {
-			// Watch the fences surviving this candidate; labels are stable
-			// across Clone, and removeFences leaves other fences' labels
-			// untouched.
-			var watch []ir.Label
-			var wbits []int
-			for j, l := range kept {
-				if j != i && !isRedundant[j] {
-					watch = append(watch, l)
-					wbits = append(wbits, j)
-				}
-			}
-			c, werr := interp.CompileWatched(trial, watch)
-			if werr != nil {
-				return nil, true, werr
-			}
-			if fc.trial(c, seeds, wbits) {
-				continue // a violation needs this fence
-			}
-		}
-		redundant = append(redundant, kept[i])
-		isRedundant[i] = true
-	}
-	return redundant, true, nil
-}
-
-// errBaselineViolates mirrors the uncached loop's precondition error.
-var errBaselineViolates = errBaselineViolatesT{}
-
-type errBaselineViolatesT struct{}
-
-func (errBaselineViolatesT) Error() string {
-	return "core: program violates its specification even with all fences present"
-}
-
-// errInsertCollision reports a fence-insertion site collision appearing
-// mid-pass after the initial compile succeeded — dropping a fence cannot
-// create one, so this is a logic error, not an input condition.
-var errInsertCollision = errInsertCollisionT{}
-
-type errInsertCollisionT struct{}
-
-func (errInsertCollisionT) Error() string {
-	return "core: fence insertion collided mid-validation (watch mapping lost)"
 }

@@ -93,7 +93,6 @@ func validated(prog *ir.Program, cfg Config, fences []synth.InsertedFence) strin
 
 // redundant runs FindRedundantFences and renders its outcome.
 func redundant(prog *ir.Program, cfg Config, execsPerFence int) string {
-	cfg.NoExecCache = true
 	labels, err := FindRedundantFences(prog, cfg, execsPerFence)
 	if err != nil {
 		return "error=" + err.Error()

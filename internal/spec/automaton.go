@@ -8,17 +8,17 @@ import (
 // The sequentialization search spends its time asking two questions per
 // node: "have I failed from this (progress, spec state) before?" and
 // "does this operation apply in this state, and what state results?".
-// The string-memo dfs in check.go answers both by re-encoding the spec
-// state into a byte key at every node and by clone+Apply on every branch.
 //
-// The automaton below compiles the answers instead: reachable spec
-// states are interned once into dense int32 ids (the canonical clone is
-// frozen and owned by the automaton), operations are interned on the
-// fields Apply actually consults (Name, Args, Ret, HasRet), and each
-// (state id, op id) transition is computed by clone+Apply exactly once
-// and then served from a flat map. The DFS then walks integer ids, and
-// its memo key is a comparable struct of (mixed-radix progress index,
-// state id) — no per-node string allocation at all.
+// The automaton below compiles the answers: reachable spec states are
+// interned once into dense int32 ids (the canonical clone is frozen and
+// owned by the automaton), operations are interned on the fields Apply
+// actually consults (Name, Args, Ret, HasRet), and each (state id, op id)
+// transition is computed by clone+Apply exactly once and then served from
+// a flat map. The DFS then walks integer ids, and its memo key is a
+// comparable struct of (progress word, state id) — no per-node string
+// allocation at all. Interning maps states with equal canonical keys to
+// one id, so two search nodes share a memo entry exactly when their
+// progress vectors and spec-state keys are equal.
 //
 // The automaton persists across checks on a reused Checker: state
 // identity and transitions are history-independent facts about the
@@ -26,9 +26,7 @@ import (
 // over the same data structure amortizes every Apply. It composes with
 // the verdict-by-history cache upstream: that cache removes repeated
 // *histories*, this one removes repeated *spec work* across distinct
-// histories. Verdicts are identical to the legacy path (differentially
-// tested): interning maps equal-key states to one id exactly as the
-// string memo treated them as one entry.
+// histories. testdata/verdicts.txt pins the verdicts.
 //
 // Capacity is bounded generationally: when the tables outgrow their caps
 // the automaton is discarded between checks (never mid-search, which
@@ -152,8 +150,8 @@ func (a *automaton) step(c *Checker, sid, oid int32) (next int32, ok bool) {
 	return nid, true
 }
 
-// autoKey memoizes one failed search node: the mixed-radix encoding of
-// the per-thread progress vector plus the interned spec-state id.
+// autoKey memoizes one failed search node: the per-thread progress
+// vector's word (see compileProgress) plus the interned spec-state id.
 type autoKey struct {
 	prog  uint64
 	state int32
@@ -161,25 +159,50 @@ type autoKey struct {
 
 // compileProgress fills c.strides with the mixed-radix strides of the
 // current queue partition (stride[i] = Π_{j<i} (len(queue_j)+1)), so a
-// progress vector packs into one uint64. Reports false on overflow —
-// histories that long fall back to the string-keyed dfs.
-func (c *Checker) compileProgress() bool {
+// progress vector packs into one uint64. When the product of the radixes
+// exceeds 2^62 the packing could collide, so the check sets c.wide and
+// the progress word becomes a dense id interned per distinct vector
+// (internProgress) instead.
+func (c *Checker) compileProgress() {
 	c.strides = c.strides[:0]
+	c.wide = false
 	total := uint64(1)
 	for i := range c.queues {
 		c.strides = append(c.strides, total)
 		n := uint64(len(c.queues[i])) + 1
 		if total > (1<<62)/n {
-			return false
+			c.wide = true
 		}
 		total *= n
 	}
-	return true
+	if !c.wide {
+		return
+	}
+	if c.progIDs == nil {
+		c.progIDs = make(map[string]uint64)
+	} else {
+		clear(c.progIDs)
+	}
 }
 
-// dfsAuto is dfs over the compiled automaton: same search, same memo
-// semantics, but states are dense ids, successor states come from the
-// transition table, and the memo key is a comparable struct.
+// internProgress returns the dense id of the current progress vector,
+// registering it when unseen.
+func (c *Checker) internProgress() uint64 {
+	b := c.keyBuf[:0]
+	for _, i := range c.idx {
+		b = binary.AppendUvarint(b, uint64(i))
+	}
+	c.keyBuf = b
+	id, ok := c.progIDs[string(b)]
+	if !ok {
+		id = uint64(len(c.progIDs))
+		c.progIDs[string(b)] = id
+	}
+	return id
+}
+
+// dfsAuto explores the next operation choices from spec state sid. imemo
+// records the failed (progress, state) nodes.
 func (c *Checker) dfsAuto(sid int32) bool {
 	done := true
 	var prog uint64
@@ -191,6 +214,9 @@ func (c *Checker) dfsAuto(sid int32) bool {
 	}
 	if done {
 		return true
+	}
+	if c.wide {
+		prog = c.internProgress()
 	}
 	mk := autoKey{prog: prog, state: sid}
 	if c.imemo[mk] {

@@ -8,7 +8,8 @@ import (
 
 // mutateHistory perturbs a valid serial deque history into histories of
 // all kinds — overlapping, garbage-returning, reordered — so the
-// differential test below covers accepting and rejecting searches alike.
+// recorded verdicts (testdata/verdicts.txt) cover accepting and rejecting
+// searches alike.
 func mutateHistory(rng *rand.Rand, ops []Op) []Op {
 	out := make([]Op, len(ops))
 	copy(out, ops)
@@ -27,30 +28,6 @@ func mutateHistory(rng *rand.Rand, ops []Op) []Op {
 		out[i].Thread, out[j].Thread = out[j].Thread, out[i].Thread
 	}
 	return out
-}
-
-// TestAutomatonMatchesLegacy differentially pins the compiled-automaton
-// search against the string-keyed dfs: one reused Checker per path (so
-// the automaton accumulates state across checks, as in the engine) must
-// produce identical SC and linearizability verdicts on every history.
-func TestAutomatonMatchesLegacy(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	var auto, legacy Checker
-	legacy.DisableAutomaton = true
-	for trial := 0; trial < 500; trial++ {
-		ops := mutateHistory(rng, genSerialDequeHistory(rng, 2+rng.Intn(9)))
-		for _, crit := range []Criterion{SeqConsistency, Linearizability} {
-			got := auto.Check(crit, ops, NewDeque, false)
-			want := legacy.Check(crit, ops, NewDeque, false)
-			if got != want {
-				t.Fatalf("trial %d %v: automaton=%v legacy=%v on %v", trial, crit, got, want, ops)
-			}
-		}
-	}
-	if len(auto.aut.states) == 0 || len(auto.aut.trans) == 0 {
-		t.Fatalf("automaton path never engaged: %d states, %d transitions",
-			len(auto.aut.states), len(auto.aut.trans))
-	}
 }
 
 // TestAutomatonTypeGuard reuses one Checker across different spec types:
@@ -102,5 +79,25 @@ func TestAutomatonEnsureFlushesOverCap(t *testing.T) {
 	a.ensure(typ)
 	if len(a.trans) != 0 {
 		t.Fatalf("over-cap transition table not flushed: %d entries", len(a.trans))
+	}
+}
+
+// TestWideProgressInterned: a history whose progress product exceeds 2^62
+// runs the same search with interned progress words instead of the
+// mixed-radix packing (the recorded wide/* verdicts pin the results).
+func TestWideProgressInterned(t *testing.T) {
+	ops := []Op{{Thread: 0, Name: "put", Args: []int64{1}}}
+	for tid := 1; tid < 64; tid++ {
+		ops = append(ops, Op{Thread: tid, Name: "steal", Ret: 1, HasRet: true})
+	}
+	var c Checker
+	if c.Check(SeqConsistency, serialOps(ops), NewDeque, false) {
+		t.Fatal("63 steals of one put accepted")
+	}
+	if !c.wide || len(c.progIDs) == 0 {
+		t.Fatalf("wide=%v with %d interned progress vectors; want the interned path", c.wide, len(c.progIDs))
+	}
+	if !c.Check(SeqConsistency, serialOps(ops[:2]), NewDeque, false) || c.wide {
+		t.Fatalf("two-thread history after a wide one: wide=%v", c.wide)
 	}
 }

@@ -2,7 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 )
 
@@ -55,50 +54,6 @@ func (s *Checker) recycle(state Sequential) {
 	}
 }
 
-// dfs explores the next operation choices. memo records failed states.
-func (s *Checker) dfs(state Sequential) bool {
-	done := true
-	for i := range s.queues {
-		if s.idx[i] < len(s.queues[i]) {
-			done = false
-			break
-		}
-	}
-	if done {
-		return true
-	}
-	s.keyBuf = appendStateKey(s.keyBuf[:0], s.idx, state)
-	if s.memo[string(s.keyBuf)] {
-		return false // known dead end
-	}
-
-	for i := range s.queues {
-		if s.idx[i] >= len(s.queues[i]) {
-			continue
-		}
-		op := s.queues[i][s.idx[i]]
-		if s.realTime && !minimalInRealTime(s.queues, s.idx, i, op) {
-			continue
-		}
-		next := s.clone(state)
-		if !next.Apply(op) {
-			s.recycle(next)
-			continue
-		}
-		s.idx[i]++
-		if s.dfs(next) {
-			s.idx[i]--
-			return true
-		}
-		s.idx[i]--
-		s.recycle(next)
-	}
-	// Rebuild the key: recursive calls clobbered the scratch buffer.
-	key := string(appendStateKey(s.keyBuf[:0], s.idx, state))
-	s.memo[key] = true
-	return false
-}
-
 // minimalInRealTime reports whether op may be linearized next: no other
 // unchosen operation completed before op was invoked. Each thread's
 // unchosen operations are in program order, so only each thread's next
@@ -115,18 +70,6 @@ func minimalInRealTime(queues [][]Op, idx []int, self int, op Op) bool {
 	return true
 }
 
-func appendStateKey(dst []byte, idx []int, state Sequential) []byte {
-	for _, i := range idx {
-		dst = strconv.AppendInt(dst, int64(i), 10)
-		dst = append(dst, ':')
-	}
-	dst = append(dst, '|')
-	if ka, ok := state.(keyAppender); ok {
-		return ka.appendKey(dst)
-	}
-	return append(dst, state.Key()...)
-}
-
 // RelaxStealAborts rewrites every steal()=EMPTY operation that overlaps
 // (in real time) another take or steal into a no-op "aborted steal". The
 // published work-stealing algorithms return ABORT from steal when they
@@ -136,31 +79,8 @@ func appendStateKey(dst []byte, idx []int, state Sequential) []byte {
 // emptiness claim and stays strict — which is exactly the paper's Fig. 2c
 // linearizability violation. Removal-free histories are unaffected.
 func RelaxStealAborts(ops []Op) []Op {
-	out := make([]Op, len(ops))
-	copy(out, ops)
-	for i := range out {
-		o := &out[i]
-		if o.Name != "steal" || !o.HasRet || o.Ret != EmptyVal {
-			continue
-		}
-		// Scan partners in the ORIGINAL ops so that two mutually
-		// overlapping empty steals both relax.
-		for j := range ops {
-			if j == i {
-				continue
-			}
-			p := &ops[j]
-			if p.Name != "steal" && p.Name != "take" {
-				continue
-			}
-			// overlap: neither completes before the other starts
-			if p.Res > o.Inv && o.Res > p.Inv {
-				o.Name = "steal_abort"
-				break
-			}
-		}
-	}
-	return out
+	var c Checker
+	return c.RelaxStealAborts(ops)
 }
 
 // NoGarbage checks the idempotent-WSQ safety property used for the iWSQ
@@ -169,20 +89,8 @@ func RelaxStealAborts(ops []Op) []Op {
 // in the history ("no garbage tasks returned"). Idempotent semantics allow
 // a task to be returned more than once, so no uniqueness is required.
 func NoGarbage(ops []Op) bool {
-	puts := make(map[int64]bool)
-	for _, o := range ops {
-		if o.Name == "put" && len(o.Args) == 1 {
-			puts[o.Args[0]] = true
-		}
-	}
-	for _, o := range ops {
-		if (o.Name == "take" || o.Name == "steal") && o.HasRet && o.Ret != EmptyVal {
-			if !puts[o.Ret] {
-				return false
-			}
-		}
-	}
-	return true
+	_, bad := firstGarbage(ops)
+	return !bad
 }
 
 // Criterion selects which history check an analysis runs.
@@ -302,16 +210,6 @@ func firstGarbage(ops []Op) (Op, bool) {
 // run the sequentialization search. checkGarbage additionally applies
 // NoGarbage (used for idempotent WSQs).
 func Check(c Criterion, ops []Op, newSpec func() Sequential, checkGarbage bool) bool {
-	if checkGarbage && !NoGarbage(ops) {
-		return false
-	}
-	switch c {
-	case MemorySafety:
-		return true
-	case SeqConsistency:
-		return IsSequentiallyConsistent(ops, newSpec)
-	case Linearizability:
-		return IsLinearizable(ops, newSpec)
-	}
-	return true
+	var ck Checker
+	return ck.Check(c, ops, newSpec, checkGarbage)
 }

@@ -7,36 +7,30 @@ import (
 )
 
 // Checker is a reusable history checker: it owns the sequentialization
-// search's memo table, queue partition, key scratch, recycled spec
-// states, and operation buffers, so a caller that judges many histories
+// search's compiled automaton and memo table, queue partition, key
+// scratch, recycled spec states, and operation buffers, so a caller that judges many histories
 // (the synthesis engine judges thousands per round) pays the allocations
 // once instead of per history. The zero value is ready to use. A Checker
 // is not safe for concurrent use — the engine gives each batch worker its
 // own (see the worker-ownership invariant in internal/sched).
 //
-// Results are identical to the package-level IsSequentiallyConsistent /
-// IsLinearizable / Check functions, which simply run on a throwaway
-// Checker.
+// The package-level CompleteOps, RelaxStealAborts, IsSequentiallyConsistent,
+// IsLinearizable and Check functions run on a throwaway Checker.
 type Checker struct {
-	// DisableAutomaton forces the legacy string-keyed dfs instead of the
-	// compiled-automaton search (see automaton.go). Verdicts are
-	// identical either way — the knob exists for differential tests and
-	// benchmarks.
-	DisableAutomaton bool
-
 	queues   [][]Op
 	idx      []int
-	memo     map[string]bool // legacy path: failed (progress, state) keys
-	keyBuf   []byte
+	keyBuf   []byte       // progress-vector key scratch (internProgress)
 	free     []Sequential // dead states recycled by clone/recycle
 	realTime bool
 
-	// automaton path (automaton.go)
+	// search state (automaton.go)
 	aut     automaton
-	imemo   map[autoKey]bool // failed (packed progress, state id) pairs
-	strides []uint64         // mixed-radix strides of the queue partition
-	oidbuf  []int32          // interned op ids, flat, parallel to qbuf
-	oqueues [][]int32        // per-thread views into oidbuf, parallel to queues
+	imemo   map[autoKey]bool  // failed (progress word, state id) pairs
+	strides []uint64          // mixed-radix strides of the queue partition
+	wide    bool              // strides overflow: progress words are interned
+	progIDs map[string]uint64 // interned progress vectors when wide
+	oidbuf  []int32           // interned op ids, flat, parallel to qbuf
+	oqueues [][]int32         // per-thread views into oidbuf, parallel to queues
 
 	// partition scratch (check)
 	qbuf   []Op
@@ -49,8 +43,9 @@ type Checker struct {
 	pend     [][]int // per-thread FIFO of indices into opsBuf
 }
 
-// CompleteOps is CompleteOps with the checker's reused buffers. The
-// returned slice aliases checker-owned storage and is valid until the
+// CompleteOps pairs invoke/response events into completed operations
+// (see the package-level CompleteOps) in the checker's reused buffers.
+// The returned slice aliases checker-owned storage and is valid until the
 // next CompleteOps call.
 func (c *Checker) CompleteOps(events []interp.Event) []Op {
 	for i := range c.pend {
@@ -93,9 +88,11 @@ func (c *Checker) CompleteOps(events []interp.Event) []Op {
 	return out
 }
 
-// RelaxStealAborts is RelaxStealAborts with the checker's reused output
-// buffer; same semantics (partners are scanned in the unmodified input).
-// The returned slice is valid until the next RelaxStealAborts call.
+// RelaxStealAborts relaxes contended empty steals (see the package-level
+// RelaxStealAborts) into the checker's reused output buffer. Partners are
+// scanned in the unmodified input, so two mutually overlapping empty
+// steals both relax. The returned slice is valid until the next
+// RelaxStealAborts call.
 func (c *Checker) RelaxStealAborts(ops []Op) []Op {
 	out := append(c.relaxBuf[:0], ops...)
 	c.relaxBuf = out
@@ -112,6 +109,7 @@ func (c *Checker) RelaxStealAborts(ops []Op) []Op {
 			if p.Name != "steal" && p.Name != "take" {
 				continue
 			}
+			// overlap: neither completes before the other starts
 			if p.Res > o.Inv && o.Res > p.Inv {
 				o.Name = "steal_abort"
 				break
@@ -121,7 +119,8 @@ func (c *Checker) RelaxStealAborts(ops []Op) []Op {
 	return out
 }
 
-// Check is Check with the checker's reused search state.
+// Check applies the criterion to a history (see the package-level Check)
+// with the checker's reused search state.
 func (c *Checker) Check(crit Criterion, ops []Op, newSpec func() Sequential, checkGarbage bool) bool {
 	if checkGarbage && !NoGarbage(ops) {
 		return false
@@ -139,7 +138,7 @@ func (c *Checker) Check(crit Criterion, ops []Op, newSpec func() Sequential, che
 
 // check partitions ops per thread (a stable counting partition into the
 // reused qbuf — the alloc-free equivalent of PerThread) and runs the
-// memoized sequentialization DFS.
+// memoized sequentialization DFS over the compiled automaton.
 func (c *Checker) check(ops []Op, newSpec func() Sequential, realTime bool) bool {
 	maxTid := -1
 	for i := range ops {
@@ -181,15 +180,8 @@ func (c *Checker) check(ops []Op, newSpec func() Sequential, realTime bool) bool
 		start += n
 	}
 	c.realTime = realTime
+	c.compileProgress()
 	init := newSpec()
-	if c.DisableAutomaton || !c.compileProgress() {
-		if c.memo == nil {
-			c.memo = make(map[string]bool)
-		} else {
-			clear(c.memo) // buckets are retained: the next search reuses them
-		}
-		return c.dfs(init)
-	}
 	c.aut.ensure(reflect.TypeOf(init))
 	// Intern each queue's ops once; the DFS then only touches ids.
 	c.oidbuf = c.oidbuf[:0]

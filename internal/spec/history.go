@@ -55,39 +55,8 @@ func (o Op) String() string {
 // dropped: an operation that never returned imposes no obligation on the
 // history checkers we run (we only check completed executions).
 func CompleteOps(events []interp.Event) []Op {
-	pending := make(map[int][]int) // thread -> stack of indices into ops
-	var ops []Op
-	for i, e := range events {
-		switch e.Kind {
-		case interp.EventInvoke:
-			ops = append(ops, Op{
-				Thread: e.Thread,
-				Name:   e.Op,
-				Args:   e.Args,
-				Inv:    i,
-				Res:    -1,
-			})
-			pending[e.Thread] = append(pending[e.Thread], len(ops)-1)
-		case interp.EventResponse:
-			q := pending[e.Thread]
-			if len(q) == 0 {
-				continue // stray response; ignore defensively
-			}
-			idx := q[0]
-			pending[e.Thread] = q[1:]
-			ops[idx].Ret = e.Ret
-			ops[idx].HasRet = e.HasRet
-			ops[idx].Res = i
-		}
-	}
-	// Drop incomplete ops.
-	out := ops[:0]
-	for _, o := range ops {
-		if o.Res >= 0 {
-			out = append(out, o)
-		}
-	}
-	return out
+	var c Checker
+	return c.CompleteOps(events)
 }
 
 // PerThread groups completed operations by thread, preserving program

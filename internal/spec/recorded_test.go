@@ -65,7 +65,7 @@ func wideHistory(accept bool) []spec.Op {
 // (as the engine does) and returns the verdict file's content.
 func recordedVerdicts(t *testing.T) string {
 	t.Helper()
-	ck := spec.Checker{DisableAutomaton: true}
+	var ck spec.Checker
 	var sb strings.Builder
 	line := func(name string, ops []spec.Op, newSpec func() spec.Sequential) {
 		sc := ck.Check(spec.SeqConsistency, ops, newSpec, false)
