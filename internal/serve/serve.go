@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -443,17 +444,25 @@ func (s *Server) runJob(id string) {
 	s.mu.Lock()
 	s.tracers[id] = tracer
 	s.mu.Unlock()
-	defer func() {
+	// finishTrace ends the job span and persists the trace. It runs before
+	// any setState or failTransient that publishes the attempt's end
+	// state, so a client that sees the job settle finds the whole trace
+	// in the spool.
+	finishTrace := func() {
 		jobSpan.End()
 		s.mu.Lock()
 		delete(s.tracers, id)
 		s.mu.Unlock()
-		_ = tracer.WriteJSONFile(s.sp.tracePath(id))
-	}()
+		var buf bytes.Buffer
+		if tracer.WriteJSON(&buf) == nil {
+			_ = writeFileAtomic(s.sp.tracePath(id), buf.Bytes())
+		}
+	}
 
 	if hook := s.opts.FaultHook; hook != nil {
 		if herr := hook(j, j.Attempts+1); herr != nil {
 			journal.Close()
+			finishTrace()
 			s.failTransient(j, herr)
 			return
 		}
@@ -463,6 +472,7 @@ func (s *Server) runJob(id string) {
 	if cerr := journal.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("journal: %w", cerr)
 	}
+	finishTrace()
 	switch {
 	case panicked:
 		// A panic is containment working, not proof the job is hopeless —
