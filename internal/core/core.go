@@ -110,10 +110,6 @@ type Config struct {
 	// and cuts such executions identically on every machine (they are
 	// judged Inconclusive, like a step-limit hit).
 	MaxItersPerExec int
-	// RoundTimeout bounds each round's execution batch (0 = none).
-	// Executions still in flight when it expires stop and count
-	// Inconclusive; not-yet-started ones are Skipped.
-	RoundTimeout time.Duration
 	// Deadline bounds the whole repair loop's wall-clock time (0 = none).
 	// When it expires, the in-flight round is cut short, the rounds
 	// completed so far are kept, and the Result reports Outcome ==
@@ -131,12 +127,10 @@ type Config struct {
 	// 0 selects the default 0.5; negative disables the floor.
 	MinConclusive float64
 	// MaxModels caps the solver's minimal-model enumeration per round
-	// (0 = default 4096, negative = unlimited). SolverTimeout additionally
-	// bounds the enumeration in wall clock (0 = none). Hitting either
-	// budget degrades gracefully — the round enforces the best repair
-	// found so far — and sets Result.SolverTruncated.
-	MaxModels     int
-	SolverTimeout time.Duration
+	// (0 = default 4096, negative = unlimited). Hitting the cap degrades
+	// gracefully — the round enforces the best repair found so far — and
+	// sets Result.SolverTruncated.
+	MaxModels int
 	// OptionsHook, if non-nil, may rewrite the scheduler options of
 	// synthesis-round execution (round, index) before it runs — the
 	// fault-injection harness's entry point (internal/faultinject), also
@@ -265,7 +259,7 @@ func EffectiveMaxIters(maxIters, maxSteps int) int {
 
 // solverBudget translates the config's solver knobs into a sat.Budget.
 func (c *Config) solverBudget() sat.Budget {
-	return sat.Budget{MaxModels: c.MaxModels, Timeout: c.SolverTimeout}
+	return sat.Budget{MaxModels: c.MaxModels}
 }
 
 // Outcome classifies how a synthesis ended — the unambiguous replacement
@@ -441,8 +435,8 @@ type Result struct {
 	// The per-round Errors counters account for every occurrence.
 	ExecErrors []*sched.ExecError
 	// SolverTruncated reports that some round's minimal-model enumeration
-	// hit the MaxModels/SolverTimeout budget: the enforced repairs were
-	// the best found within budget, not a provably minimal choice.
+	// hit the MaxModels budget: the enforced repairs were the best found
+	// within budget, not a provably minimal choice.
 	SolverTruncated bool
 	// MergedAway is the number of redundant fences removed by the merge
 	// pass (0 if disabled).

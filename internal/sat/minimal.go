@@ -3,7 +3,6 @@ package sat
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // Budget bounds minimal-model enumeration. The zero value means unlimited
@@ -15,13 +14,7 @@ type Budget struct {
 	// MaxModels stops enumeration after this many distinct minimal models
 	// (<= 0: unlimited).
 	MaxModels int
-	// Timeout bounds the enumeration's wall-clock time (<= 0: unlimited).
-	// Granularity is per model found: the check runs between solver calls,
-	// so a single very hard Solve can overrun it.
-	Timeout time.Duration
 }
-
-func (b Budget) unlimited() bool { return b.MaxModels <= 0 && b.Timeout <= 0 }
 
 // Stats reports one enumeration's solver effort, for telemetry. Every
 // enumeration runs on its own solver, so the counters are that
@@ -72,8 +65,7 @@ func MinimalModels(nvars int, clauses [][]Lit) [][]int {
 // found so far are returned with truncated=true; each returned model is
 // still irredundant (the greedy shrink runs per model, not at the end), so
 // a truncated answer is a sound — merely possibly incomplete — repair set.
-// The MaxModels cutoff is deterministic; the Timeout cutoff is wall-clock
-// and therefore machine-dependent.
+// The MaxModels cutoff is deterministic.
 func MinimalModelsBudget(nvars int, clauses [][]Lit, budget Budget) (models [][]int, truncated bool) {
 	return MinimalModelsStats(nvars, clauses, budget, nil)
 }
@@ -95,10 +87,6 @@ func MinimalModelsStats(nvars int, clauses [][]Lit, budget Budget, st *Stats) (m
 		if err := s.AddClause(c...); err != nil {
 			panic(err)
 		}
-	}
-	var deadline time.Time
-	if budget.Timeout > 0 {
-		deadline = time.Now().Add(budget.Timeout)
 	}
 	cur := make([]bool, nvars+1)
 	seen := modelSet{buckets: make(map[uint64][]int32), offs: []int32{0}}
@@ -134,12 +122,9 @@ func MinimalModelsStats(nvars int, clauses [][]Lit, budget Budget, st *Stats) (m
 		if len(min) == 0 {
 			break // empty model satisfies everything: stop
 		}
-		if !budget.unlimited() {
-			if (budget.MaxModels > 0 && len(out) >= budget.MaxModels) ||
-				(!deadline.IsZero() && time.Now().After(deadline)) {
-				truncated = true
-				break
-			}
+		if budget.MaxModels > 0 && len(out) >= budget.MaxModels {
+			truncated = true
+			break
 		}
 		// Block this minimal model and all its supersets.
 		block = block[:0]
