@@ -86,7 +86,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# gofmt must list no file outside testdata/ (cmd/modelcheck/testdata/bad
+# is modelcheck's input and stays as written).
 lint:
+	@unformatted=$$(gofmt -l . | grep -Ev '(^|/)testdata/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/modelcheck .
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || \
 		echo "staticcheck not installed; skipping (CI runs it)"
